@@ -2,8 +2,10 @@
 
 Two layouts: ``full`` keeps one slot per dataset sample (slot index ==
 sample id), ``ring`` is a bounded buffer where new rows overwrite the
-oldest ones. Retrieval is K-nearest-neighbor by cosine similarity with
-ties broken toward the lower sample id, so results are deterministic.
+oldest ones and holds at most one row per sample id: the distinct ids
+among its last ``capacity`` writes, each at its latest write. Retrieval
+is K-nearest-neighbor by cosine similarity with ties broken toward the
+lower sample id, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -67,7 +69,9 @@ class MemoryBank:
 
     def update(self, sample_ids, features, predictions) -> "MemoryBank":
         """Write a batch of rows. Full mode overwrites the slots addressed by
-        sample id; ring mode appends at the cursor, evicting the oldest rows."""
+        sample id; ring mode appends at the cursor, evicting the oldest rows,
+        and clears the slot of any older copy of a written id (sample id -1),
+        so the last write of an id wins."""
         ids = np.asarray(sample_ids, dtype=np.int64).ravel()
         feats = as_matrix(features, "features")
         preds = require_simplex_rows(predictions, tol=1e-6, name="predictions")
@@ -84,15 +88,25 @@ class MemoryBank:
             self.features[ids] = feats
             self.predictions[ids] = preds
             self.sample_ids[ids] = ids
-            self.filled = int(np.sum(self.sample_ids >= 0))
-        else:
-            for j in range(len(ids)):
-                slot = self.cursor
-                self.features[slot] = feats[j]
-                self.predictions[slot] = preds[j]
-                self.sample_ids[slot] = ids[j]
-                self.cursor = (slot + 1) % self.capacity
-            self.filled = min(self.filled + len(ids), self.capacity)
+        elif ids.size:
+            # only the last `capacity` rows of the batch survive its own
+            # writes; a batch that long overwrites every slot
+            rows = np.arange(max(0, len(ids) - self.capacity), len(ids))
+            slots = (self.cursor + rows) % self.capacity
+            kept = ids[rows]
+            order = np.argsort(kept, kind="stable")
+            written = kept[order]
+            # clear the slots of older copies of the written ids
+            pos = np.minimum(np.searchsorted(written, self.sample_ids), written.size - 1)
+            self.sample_ids[written[pos] == self.sample_ids] = -1
+            self.features[slots] = feats[rows]
+            self.predictions[slots] = preds[rows]
+            self.sample_ids[slots] = kept
+            # the stable order puts an id's last write last among its copies
+            earlier = np.flatnonzero(written[:-1] == written[1:])
+            self.sample_ids[slots[order[earlier]]] = -1
+            self.cursor = (self.cursor + len(ids)) % self.capacity
+        self.filled = int(np.count_nonzero(self.sample_ids >= 0))
         return self
 
     def occupied(self) -> np.ndarray:
@@ -129,8 +143,8 @@ class MemoryBank:
         Rows rank by cosine similarity, ties toward the lower sample id;
         zero-norm rows (and every row, for a zero-norm query) have
         similarity -inf. ``exclude_ids`` gives one sample id per query,
-        and no stored copy of it is returned for that query; a query left
-        with fewer than k other rows raises InsufficientDataError.
+        and its row is never returned for that query. A bank must hold
+        more than k rows, so at least k are left after the exclusion.
         """
         if k < 1:
             raise ConfigError("k must be >= 1")
@@ -157,18 +171,15 @@ class MemoryBank:
         sims[:, norms == 0.0] = -np.inf
         sims[qnorms == 0.0, :] = -np.inf
 
-        # candidates are in id order, so the copies of query r's excluded
-        # id sit at positions lo[r] .. lo[r] + runs[r] - 1 (a ring can hold
-        # several copies of a rewritten id)
+        # candidates are in id order and hold each id once, so query r's
+        # excluded id, if stored, sits at position pos[r]
         if exclude_ids is not None:
             excl = np.asarray(exclude_ids, dtype=np.int64).ravel()
             if excl.size != nq:
                 raise ShapeError("exclude_ids must supply one id per query row")
-            lo = np.searchsorted(cand_ids, excl, side="left")
-            runs = np.searchsorted(cand_ids, excl, side="right") - lo
-            rows = np.repeat(np.arange(nq), runs)
-            offsets = np.arange(rows.size) - np.repeat(np.cumsum(runs) - runs, runs)
-            sims[rows, np.repeat(lo, runs) + offsets] = -np.inf
+            pos = np.searchsorted(cand_ids, excl)
+            hit = np.flatnonzero(cand_ids[np.minimum(pos, n - 1)] == excl)
+            sims[hit, pos[hit]] = -np.inf
 
         # argmax returns the first maximum, which is the lowest id among
         # tied candidates, so k rounds of argmax-and-mask yield the exact
@@ -188,12 +199,7 @@ class MemoryBank:
             rest[order[r, :j]] = False
             if exclude_ids is not None:
                 rest &= cand_ids != excl[r]
-            rest = np.flatnonzero(rest)
-            if rest.size < k - j:
-                raise InsufficientDataError(
-                    f"query row {r} has {j + rest.size} candidates left after "
-                    f"exclusion, need k={k}")
-            order[r, j:] = rest[:k - j]
+            order[r, j:] = np.flatnonzero(rest)[:k - j]
         return order if slots is None else slots[order]
 
     def snapshot(self):

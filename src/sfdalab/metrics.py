@@ -17,7 +17,7 @@ import numpy as np
 from .bank import MemoryBank
 from .errors import ConfigError, InsufficientDataError, ShapeError
 from .model import MlpModel, forward, predict_labels
-from .numerics import as_matrix, l2_normalize_rows, scratch
+from .numerics import as_matrix, l2_normalize_rows, scratch, single_blas_thread
 
 SND_TAU = 0.05
 RATIO_K = 3
@@ -142,6 +142,7 @@ def open_set_scores(os_star: float, unk: float, num_known: int) -> OdaScores:
                      os=float(os_val), num_known_classes=int(num_known))
 
 
+@single_blas_thread()
 def decision_grid(model: MlpModel, x_range=(-1.5, 2.5), y_range=(-1.5, 2.0),
                   resolution: int = 101):
     """Predicted label at each node of a regular grid, for boundary plots.
@@ -174,6 +175,7 @@ def evaluate_model(model: MlpModel, X, labels, num_classes: int) -> EvalReport:
     return classification_report(pred, labels, num_classes)
 
 
+@single_blas_thread()
 def build_report(model: MlpModel, X, labels, num_classes: int,
                  tau: float = SND_TAU) -> dict:
     """Full evaluation dict with the fixed key set accuracy, per_class,

@@ -163,16 +163,17 @@ def sgd_step(model: MlpModel, grads: dict[str, np.ndarray], lr: float, momentum:
         raise ConfigError(f"lr must be > 0, got {lr}")
     if not 0.0 <= momentum < 1.0:
         raise ConfigError(f"momentum must be in [0, 1), got {momentum}")
+    params = model.params()
     for name in PARAM_NAMES:
         g = np.asarray(grads[name], dtype=np.float64)
         if not np.all(np.isfinite(g)):
             raise DivergenceError(f"non-finite gradient for {name}")
-        if g.shape != model.params()[name].shape:
+        if g.shape != params[name].shape:
             raise ShapeError(f"gradient shape mismatch for {name}")
         v = model.velocity[name]
         v *= momentum
         v += g
-        getattr(model, name)[...] -= lr * v
+        params[name][...] -= lr * v
     return model
 
 
@@ -218,10 +219,17 @@ def save_checkpoint(model: MlpModel, path) -> None:
 
 
 def load_checkpoint(path) -> MlpModel:
+    """Model from a ``save_checkpoint`` file. A dim that is missing or not
+    a positive integer, and a parameter that is missing, is not a list of
+    numbers, has the wrong length for the dims or holds a non-finite value,
+    raise InvalidInputError naming it."""
     doc = json.loads(Path(path).read_text())
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise InvalidInputError(f"unsupported checkpoint version {doc.get('format_version')!r}")
-    d = doc["dims"]
+    d = doc.get("dims", {})
+    for key in ("d_in", "h1", "h_feat", "n_classes"):
+        if not isinstance(d.get(key), int) or d[key] < 1:
+            raise InvalidInputError(f"checkpoint dim {key} is missing or not a positive integer")
     shapes = {
         "W1": (d["d_in"], d["h1"]), "b1": (d["h1"],),
         "W2": (d["h1"], d["h_feat"]), "b2": (d["h_feat"],),
@@ -229,8 +237,15 @@ def load_checkpoint(path) -> MlpModel:
     }
     params = {}
     for name, shape in shapes.items():
-        arr = np.asarray(doc["params"][name], dtype=np.float64)
+        if name not in doc.get("params", {}):
+            raise InvalidInputError(f"checkpoint parameter {name} is missing")
+        try:
+            arr = np.asarray(doc["params"][name], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise InvalidInputError(f"checkpoint parameter {name} is not a list of numbers") from None
         if arr.size != int(np.prod(shape)):
             raise InvalidInputError(f"checkpoint parameter {name} has wrong length")
+        if not np.all(np.isfinite(arr)):
+            raise InvalidInputError(f"checkpoint parameter {name} has non-finite values")
         params[name] = arr.reshape(shape)
     return MlpModel(**params, seed=int(doc.get("seed", 0)))

@@ -1,5 +1,6 @@
-"""Dense float64 matrix kernels, probability-simplex utilities, and the
-central-difference gradient oracle.
+"""Dense float64 matrix kernels, probability-simplex utilities, the
+central-difference gradient oracle, and the guard that runs OpenBLAS on
+one thread for the duration of a run.
 
 All operations are pure functions on numpy arrays (double precision,
 row-major). Matrices here are plain ``np.ndarray``; the helpers below
@@ -9,7 +10,12 @@ boundaries instead of wrapping arrays in classes.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import math
+import os
 import threading
 from typing import Callable
 
@@ -25,6 +31,9 @@ SVD_MAX_DIM = 512
 SCRATCH_MAX_ENTRIES = 1 << 21
 
 _scratch = threading.local()
+
+# Below this norm the squared norm of a row underflows the normal float range.
+_MIN_SAFE_NORM = math.sqrt(np.finfo(np.float64).tiny)
 
 
 def scratch(name: str, shape) -> np.ndarray:
@@ -46,6 +55,89 @@ def scratch(name: str, shape) -> np.ndarray:
     if flat is None or flat.size < size:
         flat = pool[name] = np.empty(size)
     return flat[:size].reshape(shape)
+
+
+# (get, set) thread-count entry points of the OpenBLAS builds numpy ships
+# (64-bit-integer scipy-openblas wheels) and of a plain system OpenBLAS.
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _loaded_openblas_paths() -> list[str]:
+    """Files of every OpenBLAS mapped into this process, else the ones in
+    numpy's bundled library directory (loaded with numpy itself)."""
+    paths = set()
+    try:
+        with open("/proc/self/maps") as fh:
+            for line in fh:
+                fields = line.split(None, 5)
+                if len(fields) == 6 and "openblas" in fields[5].lower():
+                    paths.add(fields[5].strip())
+    except OSError:
+        pass
+    if paths:
+        return sorted(paths)
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    return sorted(glob.glob(os.path.join(libdir, "*openblas*")))
+
+
+@functools.cache
+def _openblas():
+    """(get, set) ctypes functions for the loaded OpenBLAS thread count, or
+    None when no OpenBLAS with those entry points is loaded."""
+    for path in _loaded_openblas_paths():
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+# The thread count is process-wide: the first of any overlapping guards
+# (nested, or in several Python threads) saves it, and the last one out
+# restores it.
+_blas_guard_lock = threading.Lock()
+_blas_guard_users = 0
+_blas_guard_saved = 0
+
+
+@contextlib.contextmanager
+def single_blas_thread():
+    """Run the body with OpenBLAS on one thread, then restore the previous
+    count, also when the body raises.
+
+    Every matmul in this package has an inner dimension no larger than a
+    layer width, too small for a second BLAS thread to pay for its
+    synchronisation: it doubles CPU time and gains no wall time. Nested
+    and concurrent use are safe. Without a loaded OpenBLAS this does
+    nothing. Also usable as a function decorator.
+    """
+    global _blas_guard_users, _blas_guard_saved
+    api = _openblas()
+    if api is None:
+        yield
+        return
+    get, set_ = api
+    with _blas_guard_lock:
+        if _blas_guard_users == 0:
+            _blas_guard_saved = get()
+            set_(1)
+        _blas_guard_users += 1
+    try:
+        yield
+    finally:
+        with _blas_guard_lock:
+            _blas_guard_users -= 1
+            if _blas_guard_users == 0:
+                set_(_blas_guard_saved)
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -89,10 +181,24 @@ def entropy(p) -> float:
 
 
 def l2_normalize_rows(M) -> np.ndarray:
-    """Scale each row to unit Euclidean norm; zero rows pass through unchanged."""
+    """Scale each row to unit Euclidean norm; zero rows pass through unchanged.
+
+    A row whose squared norm leaves the normal float range (entries near
+    1e-162 or 1e154) is divided by its largest magnitude first; every other
+    row is divided by its norm directly.
+    """
     M = as_matrix(M)
-    norms = np.linalg.norm(M, axis=1, keepdims=True)
-    return M / np.where(norms > 0.0, norms, 1.0)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(M, axis=1, keepdims=True)
+    out = M / np.where(norms > 0.0, norms, 1.0)
+    bad = np.flatnonzero((norms[:, 0] < _MIN_SAFE_NORM) | (norms[:, 0] == np.inf))
+    if bad.size:
+        rows = M[bad]
+        peak = np.abs(rows).max(axis=1, keepdims=True)
+        rows /= np.where(peak > 0.0, peak, 1.0)
+        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+        out[bad] = rows / np.where(norms > 0.0, norms, 1.0)
+    return out
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x, h: float = 1e-5) -> np.ndarray:

@@ -11,7 +11,9 @@ every sample (full mode) or the most recent writes (ring mode).
 Target labels feed evaluation reports only; the gradient path never
 touches them. Every run resets the momentum buffers first and draws all
 shuffles from one seeded generator, so identical (model, data, config)
-reproduce bit-identical histories and parameters.
+reproduce bit-identical histories and parameters. ``pretrain_source``
+and ``adapt`` run their BLAS kernels on one thread
+(``numerics.single_blas_thread``) and restore the caller's setting after.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .datasets import Dataset
 from .errors import ConfigError, InsufficientDataError, InvalidInputError
 from .metrics import EvalReport, agreement_ratios, classification_report, snd_score
 from .model import MlpModel, backward, forward, sgd_step
+from .numerics import single_blas_thread
 from .objectives import (
     attract_disperse_loss,
     bnm_loss,
@@ -120,6 +123,7 @@ class RunHistory:
         Path(path).write_text(self.to_json() + "\n")
 
 
+@single_blas_thread()
 def pretrain_source(model: MlpModel, source: Dataset, epochs: int, lr: float,
                     momentum: float = 0.9, seed: int = 0,
                     batch_size: int = 64) -> tuple[MlpModel, EvalReport]:
@@ -146,6 +150,7 @@ def pretrain_source(model: MlpModel, source: Dataset, epochs: int, lr: float,
     return model, report
 
 
+@single_blas_thread()
 def adapt(model: MlpModel, target: Dataset, cfg: AdaptConfig) -> tuple[MlpModel, RunHistory]:
     """Adapt a source-pretrained model to unlabeled target data.
 

@@ -71,6 +71,13 @@ class TestUpdate:
         # slots 0,1 were the oldest and got overwritten in place
         assert b.sample_ids.tolist() == [4, 5, 2, 3]
 
+    def test_ring_empty_write_is_a_noop(self):
+        b = bank_init("ring", 4, 1, 2)
+        b.update([0, 1], [[0.0], [1.0]], uniform_preds(2))
+        b.update([], np.zeros((0, 1)), np.zeros((0, 2)))
+        assert b.sample_ids.tolist() == [0, 1, -1, -1]
+        assert b.cursor == 2 and b.filled == 2
+
     def test_off_simplex_rejected(self):
         b = bank_init("full", 4, 1, 2)
         with pytest.raises(InvalidInputError):
@@ -95,14 +102,23 @@ class TestUpdate:
            st.integers(2, 8))
     @settings(max_examples=60, deadline=None)
     def test_ring_retains_most_recent(self, inserted, capacity):
+        # the ring holds the distinct ids among its last `capacity` writes,
+        # each in the slot of its latest write, with that write's row
         b = bank_init("ring", capacity, 1, 2)
         for chunk_start in range(0, len(inserted), 5):
             chunk = inserted[chunk_start:chunk_start + 5]
-            b.update(chunk, [[float(i)] for i in chunk], uniform_preds(len(chunk)))
-        expected = inserted[-capacity:]
+            b.update(chunk, [[float(i + 100 * j)] for j, i in enumerate(chunk, chunk_start)],
+                     uniform_preds(len(chunk)))
+        expected = {}
+        for j in range(max(0, len(inserted) - capacity), len(inserted)):
+            expected[inserted[j]] = j
         held = b.sample_ids[b.sample_ids >= 0]
         assert sorted(held.tolist()) == sorted(expected)
-        assert b.filled == min(len(inserted), capacity)
+        assert b.filled == len(expected)
+        for sid, j in expected.items():
+            slot = j % capacity
+            assert b.sample_ids[slot] == sid
+            assert b.features[slot, 0] == sid + 100 * j
 
 
 class TestKnn:
@@ -200,8 +216,8 @@ class TestKnn:
 
 def oracle_knn_batch(bank, queries, k, exclude_ids):
     """Full stable sort on (-cosine, id) over the bank's id-ordered rows,
-    computed with the bank's own arithmetic and dropping every stored copy
-    of each query's excluded id."""
+    computed with the bank's own arithmetic and dropping each query's
+    excluded id."""
     ids, feats, _ = bank.snapshot()
     qn = np.linalg.norm(queries, axis=1)
     fn = np.linalg.norm(feats, axis=1)
@@ -269,14 +285,18 @@ class TestExclusion:
         ids, _ = b.knn(q, k=3, exclude_id=0)
         assert ids.tolist() == [4, 1, 3]
 
-    def test_ring_drops_every_copy_of_excluded_id(self):
+    def test_ring_holds_one_copy_of_a_rewritten_id(self):
         b = bank_init("ring", 5, 2, 2)
-        # id 7 is written three times; every copy sits right next to the query
-        b.update([7, 1, 7, 2, 7],
-                 [[1.0, 0.0], [0.0, 1.0], [1.0, 0.01], [-1.0, 0.0], [1.0, -0.01]],
-                 uniform_preds(5))
+        # id 7 is written three times, twice in one batch and once after;
+        # every write sits right next to the query
+        b.update([7, 1, 7], [[1.0, 0.0], [0.0, 1.0], [1.0, 0.01]], uniform_preds(3))
+        b.update([2, 7], [[-1.0, 0.0], [1.0, -0.01]], uniform_preds(2))
+        assert b.sample_ids.tolist() == [-1, 1, -1, 2, 7]
+        assert b.filled == 3
         ids, _ = b.knn([1.0, 0.0], k=2, exclude_id=7)
         assert ids.tolist() == [1, 2]
+        ids, _ = b.knn([1.0, 0.0], k=2, exclude_id=1)
+        assert ids.tolist() == [7, 2]
 
     def test_ring_too_few_rows_besides_excluded_id(self):
         b = bank_init("ring", 4, 2, 2)
@@ -298,6 +318,18 @@ class TestExclusion:
         assert got.shape == (len(own_ids), k)
         assert not np.any(got == own_ids[:, None])
         assert got.tolist() == oracle_knn_batch(bank, queries, k, own_ids)
+
+    @given(banks_with_queries())
+    @settings(max_examples=200, deadline=None)
+    def test_no_row_holds_an_id_twice(self, case):
+        bank, queries, own_ids, k = case
+        stored = bank.snapshot()[0]
+        assert np.unique(stored).size == stored.size == bank.filled
+        if stored.size <= k:
+            return
+        for excl in (own_ids, None):
+            got, _, _ = bank.knn_batch(queries, k, exclude_ids=excl)
+            assert all(np.unique(row).size == k for row in got)
 
 
 class TestNeighborSet:

@@ -238,6 +238,24 @@ class TestCheckpoint:
         with pytest.raises(InvalidInputError):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("edit,named", [
+        (lambda d: d["params"]["b2"].__setitem__(1, float("nan")), "b2"),
+        (lambda d: d["params"].pop("Wc"), "Wc"),
+        (lambda d: d["params"]["b1"].__setitem__(0, "x"), "b1"),
+        (lambda d: d["dims"].pop("h_feat"), "h_feat"),
+        (lambda d: d["dims"].__setitem__("h1", 4), "W1"),
+    ], ids=["non-finite", "missing-param", "non-numeric", "missing-dim", "dims-mismatch"])
+    def test_bad_checkpoint_rejected(self, tmp_path, edit, named):
+        import json
+
+        p = tmp_path / "ckpt.json"
+        save_checkpoint(init_model(2, 3, 3, 2, seed=0), p)
+        doc = json.loads(p.read_text())
+        edit(doc)
+        p.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInputError, match=named):
+            load_checkpoint(p)
+
 
 class TestFlatParams:
     def test_round_trip(self):

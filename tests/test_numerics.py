@@ -1,8 +1,11 @@
+import threading
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sfdalab import numerics
 from sfdalab.errors import InvalidInputError, OracleError, ShapeError
 from sfdalab.numerics import (
     SCRATCH_MAX_ENTRIES,
@@ -11,6 +14,7 @@ from sfdalab.numerics import (
     l2_normalize_rows,
     max_relative_error,
     scratch,
+    single_blas_thread,
     singular_values,
     softmax_rows,
 )
@@ -96,11 +100,26 @@ class TestL2NormalizeRows:
     @given(st.lists(st.lists(st.floats(-100, 100), min_size=2, max_size=4),
                     min_size=1, max_size=6).filter(
                         lambda rows: len({len(r) for r in rows}) == 1))
+    @example(rows=[[0.0, 3.560057825048927e-162]])  # x**2 underflows
     def test_unit_or_zero_norms(self, rows):
         out = l2_normalize_rows(rows)
         norms = np.linalg.norm(out, axis=1)
         for n in norms:
             assert abs(n - 1.0) < 1e-9 or n == 0.0
+
+    def test_rows_outside_the_squared_range(self):
+        rows = [[1e-170, -1e-170], [3e-320, 0.0], [1e200, 1e200]]
+        out = l2_normalize_rows(rows)
+        h = np.sqrt(0.5)
+        np.testing.assert_allclose(out, [[h, -h], [1.0, 0.0], [h, h]], rtol=1e-15)
+
+    def test_well_scaled_rows_are_divided_by_their_norm(self):
+        rng = np.random.Generator(np.random.PCG64(5))
+        M = rng.dirichlet([1.0, 1.0, 1.0], size=50)
+        M[7] = 0.0
+        norms = np.linalg.norm(M, axis=1, keepdims=True)
+        want = M / np.where(norms > 0.0, norms, 1.0)
+        assert np.array_equal(l2_normalize_rows(M), want)
 
 
 class TestFiniteDiffGrad:
@@ -191,3 +210,55 @@ class TestScratch:
     def test_oversized_request_is_not_pooled(self):
         shape = (SCRATCH_MAX_ENTRIES + 1,)
         assert not np.shares_memory(scratch("test.d", shape), scratch("test.d", shape))
+
+
+class TestSingleBlasThread:
+    def test_one_thread_inside_and_restored_after(self, blas_threads):
+        with single_blas_thread():
+            assert blas_threads() == 1
+            with single_blas_thread():
+                assert blas_threads() == 1
+            assert blas_threads() == 1
+        assert blas_threads() == 2
+
+    def test_restored_when_the_body_raises(self, blas_threads):
+        with pytest.raises(ZeroDivisionError):
+            with single_blas_thread():
+                assert blas_threads() == 1
+                1 / 0
+        assert blas_threads() == 2
+
+    def test_overlapping_threads_restore_once_both_leave(self, blas_threads):
+        # A enters, B enters, A leaves, B leaves: the count stays 1 until B
+        # leaves, then is 2 again
+        steps = [threading.Event() for _ in range(3)]
+        seen = {}
+
+        def a():
+            with single_blas_thread():
+                steps[0].set()
+                steps[1].wait(10)
+            steps[2].set()
+
+        def b():
+            steps[0].wait(10)
+            with single_blas_thread():
+                steps[1].set()
+                steps[2].wait(10)
+                seen["after A left"] = blas_threads()
+
+        threads = [threading.Thread(target=f) for f in (a, b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(20)
+        assert not any(t.is_alive() for t in threads)
+        assert all(s.is_set() for s in steps)
+        assert seen == {"after A left": 1}
+        assert blas_threads() == 2
+
+    def test_does_nothing_without_openblas(self, blas_threads, monkeypatch):
+        monkeypatch.setattr(numerics, "_openblas", lambda: None)
+        with single_blas_thread():
+            assert blas_threads() == 2
+        assert blas_threads() == 2

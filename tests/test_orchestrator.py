@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from sfdalab import numerics
+from sfdalab.bank import MemoryBank
 from sfdalab.datasets import Dataset, MoonsConfig, make_twin_moons, rotate_dataset
 from sfdalab.errors import ConfigError, InvalidInputError
 from sfdalab.model import get_flat_params, init_model
@@ -265,3 +267,53 @@ class TestSweepBeta:
         before = get_flat_params(model).copy()
         sweep_beta(model, tgt, [1.0], small_cfg(epochs=1), seeds=[0])
         assert np.array_equal(get_flat_params(model), before)
+
+
+class TestBlasThreads:
+    """adapt runs on one BLAS thread and gives the caller's count back."""
+
+    @staticmethod
+    def watch_knn(blas_threads, monkeypatch) -> list:
+        """Record the BLAS thread count at every knn_slots call."""
+        seen = []
+        knn_slots = MemoryBank.knn_slots
+
+        def watched(bank, *a, **kw):
+            seen.append(blas_threads())
+            return knn_slots(bank, *a, **kw)
+
+        monkeypatch.setattr(MemoryBank, "knn_slots", watched)
+        return seen
+
+    def test_one_thread_inside_adapt_and_restored_after(self, blas_threads, monkeypatch):
+        seen = self.watch_knn(blas_threads, monkeypatch)
+        model, tgt = pretrained()
+        adapt(model, tgt, small_cfg(epochs=1))
+        assert seen and set(seen) == {1}
+        assert blas_threads() == 2
+
+    def test_restored_after_adapt_raises(self, blas_threads):
+        model, tgt = pretrained()
+        X = tgt.X.copy()
+        X[3, 0] = np.nan
+        bad = Dataset(X=X, labels=tgt.labels, domain=tgt.domain, num_classes=2)
+        with pytest.raises(InvalidInputError):
+            adapt(model, bad, small_cfg())
+        assert blas_threads() == 2
+
+    def test_outputs_independent_of_thread_count(self, blas_threads, monkeypatch):
+        # the toy protocol's size, where OpenBLAS splits the SND product
+        src = make_twin_moons(MoonsConfig(n_per_class=300, noise_sigma=0.1, seed=0))
+        model, _ = pretrain_source(init_model(2, 15, 15, 2, seed=0), src,
+                                   epochs=20, lr=0.01, seed=0)
+        tgt = rotate_dataset(src, 30.0)
+        cfg = AdaptConfig(k=4, beta=0.25, batch_size=64, epochs=20, lr=0.005,
+                          momentum=0.7, seed=0)
+        m1, h1 = adapt(model.clone(), tgt, cfg)
+        # with discovery failing, the guard leaves the count at 2
+        monkeypatch.setattr(numerics, "_openblas", lambda: None)
+        seen = self.watch_knn(blas_threads, monkeypatch)
+        m2, h2 = adapt(model.clone(), tgt, cfg)
+        assert seen and set(seen) == {2}
+        assert h1.to_json() == h2.to_json()
+        assert get_flat_params(m1).tobytes() == get_flat_params(m2).tobytes()
