@@ -10,36 +10,12 @@ lower sample id, so results are deterministic.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
-from pathlib import Path
-
 import numpy as np
 
 from .errors import ConfigError, InsufficientDataError, InvalidInputError, ShapeError
 from .numerics import as_matrix, require_simplex_rows, scratch
 
 MODES = ("full", "ring")
-
-
-@dataclass
-class NeighborSet:
-    """Index sets used by the neighborhood objectives for one anchor sample:
-    the K retrieved nearest neighbors and the rest of the mini-batch."""
-
-    anchor: int
-    close: np.ndarray
-    background: np.ndarray
-
-    def __post_init__(self):
-        self.close = np.asarray(self.close, dtype=np.int64)
-        self.background = np.asarray(self.background, dtype=np.int64)
-        if self.anchor in self.close:
-            raise InvalidInputError("anchor may not be its own close neighbor")
-        if self.anchor in self.background:
-            raise InvalidInputError("anchor may not be in the background set")
-        if not len(self.close) < len(self.background):
-            raise InvalidInputError("close set must be smaller than background set")
 
 
 class MemoryBank:
@@ -115,18 +91,6 @@ class MemoryBank:
         if self.mode == "full":
             return slots  # slot == sample id, so slot order is id order
         return slots[np.argsort(self.sample_ids[slots], kind="stable")]
-
-    def knn(self, query_feature, k: int, exclude_id: int | None = None):
-        """K stored rows maximizing cosine similarity to the query.
-
-        Returns (sample ids, prediction snapshots). Ties go to the lower
-        sample id; zero-norm rows get similarity -inf and are effectively
-        never selected.
-        """
-        q = np.asarray(query_feature, dtype=np.float64).ravel()
-        ids, _, preds = self.knn_batch(q[None, :], k,
-                                       None if exclude_id is None else [exclude_id])
-        return ids[0], preds[0]
 
     def knn_batch(self, queries, k: int, exclude_ids=None):
         """Vectorized KNN for a batch of query features.
@@ -206,19 +170,3 @@ class MemoryBank:
         """(ids, features, predictions) copies of the occupied rows, id order."""
         slots = self.occupied()
         return self.sample_ids[slots], self.features[slots], self.predictions[slots]
-
-    def dump_csv(self, path) -> None:
-        """One row per occupied slot: id, feature values, prediction values."""
-        ids, feats, preds = self.snapshot()
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["id"] + [f"f{j}" for j in range(self.feat_dim)]
-                       + [f"p{j}" for j in range(self.n_classes)])
-            for i in range(len(ids)):
-                w.writerow([int(ids[i])] + [repr(float(v)) for v in feats[i]]
-                           + [repr(float(v)) for v in preds[i]])
-
-
-def bank_init(mode: str, capacity: int, feat_dim: int, n_classes: int) -> MemoryBank:
-    """Construct an empty bank (full mode expects capacity == dataset size)."""
-    return MemoryBank(mode, capacity, feat_dim, n_classes)

@@ -216,9 +216,13 @@ def cmd_sweep(args) -> int:
     target = parse_data_spec(args.target, domain="target")
     betas_raw = _resolve(args, config, "betas", "0,1,2,5")
     if isinstance(betas_raw, str):
-        betas = [float(b) for b in betas_raw.split(",") if b.strip()]
-    else:
-        betas = [float(b) for b in betas_raw]
+        betas_raw = [b for b in betas_raw.split(",") if b.strip()]
+    betas = []
+    for b in betas_raw:
+        try:
+            betas.append(float(b))
+        except (TypeError, ValueError):
+            raise ParseError(f"bad beta {b!r}") from None
     n_seeds = _resolve(args, config, "seeds", 3)
     base = _adapt_config(args, config)
     _, table = sweep_beta(model, target, betas, base, seeds=range(n_seeds))

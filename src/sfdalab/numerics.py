@@ -23,9 +23,6 @@ import numpy as np
 
 from .errors import InvalidInputError, OracleError, ShapeError
 
-# SVD routines here are only exercised up to this edge length.
-SVD_MAX_DIM = 512
-
 # Work arrays up to this many entries (16 MiB of float64) are kept per
 # thread and reused; larger ones are allocated fresh on every call.
 SCRATCH_MAX_ENTRIES = 1 << 21
@@ -169,17 +166,6 @@ def softmax_rows(logits) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def entropy(p) -> float:
-    """Shannon entropy of a probability vector in nats, with 0*ln(0) := 0."""
-    v = np.asarray(p, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeError("entropy expects a 1-D probability vector")
-    if not np.all(np.isfinite(v)) or np.any(v < 0) or abs(v.sum() - 1.0) > 1e-9:
-        raise InvalidInputError("entropy input is not a probability vector")
-    nz = v[v > 0.0]
-    return float(-np.sum(nz * np.log(nz)))
-
-
 def l2_normalize_rows(M) -> np.ndarray:
     """Scale each row to unit Euclidean norm; zero rows pass through unchanged.
 
@@ -232,11 +218,3 @@ def max_relative_error(approx, exact, floor: float = 1e-8) -> float:
         raise ShapeError("operands must have equal lengths")
     denom = np.maximum(np.abs(b), floor)
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
-
-
-def singular_values(M) -> np.ndarray:
-    """Singular values of a dense matrix, descending, each >= 0."""
-    M = as_matrix(M)
-    if max(M.shape) > SVD_MAX_DIM:
-        raise ShapeError(f"matrix exceeds the {SVD_MAX_DIM}x{SVD_MAX_DIM} desk-scale limit")
-    return np.linalg.svd(M, compute_uv=False)

@@ -101,22 +101,10 @@ def attract_disperse_loss(P_batch, neighbor_preds, lam: float) -> LossResult:
                       dis_term=attract, div_term=lam * disperse)
 
 
-# spec-facing alias: "aad" = attract-and-disperse
-aad_loss = attract_disperse_loss
-
-
 def disperse_only_loss(P_batch, lam: float) -> LossResult:
-    """The dispersion term alone: lam * mean_i sum_{m != i} p_i.p_m."""
-    P = require_simplex_rows(P_batch, tol=SIMPLEX_TOL)
-    bs = P.shape[0]
-    if bs < 2:
-        raise ShapeError("need a batch of at least 2 for a non-empty background set")
-    if lam < 0:
-        raise ConfigError(f"lambda must be >= 0, got {lam}")
-    total = P.sum(axis=0)
-    disperse = (float(total @ total) - float(np.sum(P * P))) / bs
-    grad = 2.0 * lam * (total[None, :] - P) / bs
-    return LossResult(value=lam * disperse, grad=grad, dis_term=0.0, div_term=lam * disperse)
+    """The dispersion term alone: ``attract_disperse_loss`` with no neighbors."""
+    P = np.asarray(P_batch, dtype=np.float64)
+    return attract_disperse_loss(P, np.empty(P.shape[:1] + (0,) + P.shape[1:]), lam)
 
 
 def _log_z(p_i: np.ndarray, all_preds: np.ndarray) -> float:
@@ -168,19 +156,6 @@ def jensen_upper_bound(i: int, all_preds, close, background) -> float:
     n_t = A.shape[0]
     return float(-np.sum(dots[c]) + np.sum(dots[b])
                  + (len(c) - len(b)) * (float(dots.mean()) + np.log(n_t)))
-
-
-def batch_approx_bound(i: int, all_preds, close, background) -> float:
-    """The practical variant of ``jensen_upper_bound`` that estimates the
-    mean dot product from the background rows only. An approximation, not
-    a guaranteed bound."""
-    A, c, b = _check_nll_args(all_preds, close, background)
-    if not len(c) < len(b):
-        raise InvalidInputError("requires a close set smaller than the background set")
-    p_i = A[i]
-    dots = A @ p_i
-    return float(-np.sum(dots[c]) + (len(c) / len(b)) * np.sum(dots[b])
-                 + (len(c) - len(b)) * np.log(A.shape[0]))
 
 
 def mi_loss(P_batch) -> LossResult:

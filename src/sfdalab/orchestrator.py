@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,16 +35,35 @@ from .objectives import (
     attract_disperse_loss,
     bnm_loss,
     cross_entropy_loss,
-    disperse_only_loss,
     lambda_schedule,
     mi_loss,
     nc_loss,
 )
 
-OBJECTIVES = ("AaD", "AttractOnly", "DisperseOnly", "AaDNoDecay", "MI", "BNM", "NC")
 
-# objectives whose gradient uses retrieved neighbor predictions
-_NEEDS_NEIGHBORS = {"AaD", "AttractOnly", "AaDNoDecay", "NC"}
+class _Objective(NamedTuple):
+    needs_neighbors: bool   # retrieve K neighbors per batch row
+    lam: float | None       # fixed dispersion weight; None follows the schedule
+    loss: Callable          # (P, neighbor predictions, lambda) -> LossResult
+
+
+# The AaD ablations are the one attraction/dispersion kernel with lambda
+# fixed, or with no neighbors. Entries look the losses up by module-level
+# name at call time, so a patched name (tracing, counting) is the one used.
+def _aad(P, nbr, lam):
+    return attract_disperse_loss(P, nbr, lam)
+
+
+_TABLE = {
+    "AaD": _Objective(True, None, _aad),
+    "AttractOnly": _Objective(True, 0.0, _aad),
+    "DisperseOnly": _Objective(False, None, _aad),
+    "AaDNoDecay": _Objective(True, 1.0, _aad),
+    "MI": _Objective(False, None, lambda P, nbr, lam: mi_loss(P)),
+    "BNM": _Objective(False, None, lambda P, nbr, lam: bnm_loss(P, variant="nuclear")),
+    "NC": _Objective(True, None, lambda P, nbr, lam: nc_loss(P, nbr)),
+}
+OBJECTIVES = tuple(_TABLE)
 
 
 @dataclass
@@ -123,6 +143,14 @@ class RunHistory:
         Path(path).write_text(self.to_json() + "\n")
 
 
+def _minibatches(rng, n: int, bs: int):
+    """One epoch: the index arrays of the n // bs full batches of a fresh
+    permutation of range(n); the remainder is dropped."""
+    perm = rng.permutation(n)
+    for b in range(n // bs):
+        yield perm[b * bs:(b + 1) * bs]
+
+
 @single_blas_thread()
 def pretrain_source(model: MlpModel, source: Dataset, epochs: int, lr: float,
                     momentum: float = 0.9, seed: int = 0,
@@ -131,16 +159,15 @@ def pretrain_source(model: MlpModel, source: Dataset, epochs: int, lr: float,
     place and also returned. Reports final source accuracy."""
     if epochs < 0:
         raise ConfigError("epochs must be >= 0")
+    if batch_size < 1:
+        raise ConfigError("batch_size must be >= 1")
     if np.any(source.labels < 0):
         raise InvalidInputError("source data must be fully labeled")
-    n = len(source)
-    bs = min(batch_size, n)
+    bs = min(batch_size, len(source))
     model.reset_velocity()
     rng = np.random.Generator(np.random.PCG64(seed))
     for _ in range(epochs):
-        perm = rng.permutation(n)
-        for b in range(n // bs):
-            idx = perm[b * bs:(b + 1) * bs]
+        for idx in _minibatches(rng, len(source), bs):
             cache = forward(model, source.X[idx])
             res = cross_entropy_loss(cache.P, source.labels[idx])
             grads = backward(model, cache, res.grad)
@@ -154,56 +181,52 @@ def pretrain_source(model: MlpModel, source: Dataset, epochs: int, lr: float,
 def adapt(model: MlpModel, target: Dataset, cfg: AdaptConfig) -> tuple[MlpModel, RunHistory]:
     """Adapt a source-pretrained model to unlabeled target data.
 
-    The recorded lambda is the dispersion weight actually applied
-    (0 for AttractOnly, 1 for AaDNoDecay); for objectives without a
-    dispersion term it is the schedule value, kept for comparability.
+    The recorded lambda is the dispersion weight actually applied: the
+    objective's fixed weight (0 for AttractOnly, 1 for AaDNoDecay), else
+    the schedule value, which objectives without a dispersion term record
+    for comparability.
+
+    A ``ValueError`` raised by a step is re-raised with the same type and
+    a prefix naming the objective, the epoch and the iteration within it.
+    The model is not rolled back: it keeps the updates of the steps before
+    the failing one, and ``sgd_step`` may already have updated some of its
+    parameters when it rejects a later gradient.
     """
     cfg.validate()
     n = len(target)
     if n < cfg.batch_size:
         raise ConfigError(f"target has {n} samples, need >= batch_size {cfg.batch_size}")
+    objective = _TABLE[cfg.objective]
 
     capacity = n if cfg.bank_mode == "full" else cfg.ring_capacity
     bank = MemoryBank(mode=cfg.bank_mode, capacity=capacity,
                       feat_dim=model.h_feat, n_classes=model.n_classes)
-    all_ids = np.arange(n)
     seed_cache = forward(model, target.X)
-    bank.update(all_ids, seed_cache.features, seed_cache.P)
+    bank.update(np.arange(n), seed_cache.features, seed_cache.P)
 
-    iters_per_epoch = n // cfg.batch_size
-    max_iter = max(cfg.epochs * iters_per_epoch, 1)
+    max_iter = max(cfg.epochs * (n // cfg.batch_size), 1)
     has_labels = bool(np.any(target.labels >= 0))
+    no_neighbors = np.empty((cfg.batch_size, 0, model.n_classes))
     model.reset_velocity()
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     history = RunHistory()
     it = 0
-    for _ in range(cfg.epochs):
-        perm = rng.permutation(n)
-        for b in range(iters_per_epoch):
-            idx = perm[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-            cache = forward(model, target.X[idx])
-            bank.update(idx, cache.features, cache.P)
-            lam = lambda_schedule(it, max_iter, cfg.beta)
-            if cfg.objective in _NEEDS_NEIGHBORS:
-                _, _, nbr_preds = bank.knn_batch(cache.features, cfg.k, exclude_ids=idx)
-            if cfg.objective == "AaD":
-                res = attract_disperse_loss(cache.P, nbr_preds, lam)
-            elif cfg.objective == "AttractOnly":
-                lam = 0.0
-                res = attract_disperse_loss(cache.P, nbr_preds, lam)
-            elif cfg.objective == "AaDNoDecay":
-                lam = 1.0
-                res = attract_disperse_loss(cache.P, nbr_preds, lam)
-            elif cfg.objective == "DisperseOnly":
-                res = disperse_only_loss(cache.P, lam)
-            elif cfg.objective == "MI":
-                res = mi_loss(cache.P)
-            elif cfg.objective == "BNM":
-                res = bnm_loss(cache.P, variant="nuclear")
-            else:  # NC
-                res = nc_loss(cache.P, nbr_preds)
-            grads = backward(model, cache, res.grad)
-            sgd_step(model, grads, cfg.lr, cfg.momentum)
+    for epoch in range(cfg.epochs):
+        for b, idx in enumerate(_minibatches(rng, n, cfg.batch_size)):
+            try:
+                cache = forward(model, target.X[idx])
+                bank.update(idx, cache.features, cache.P)
+                lam = objective.lam
+                if lam is None:
+                    lam = lambda_schedule(it, max_iter, cfg.beta)
+                nbr_preds = no_neighbors
+                if objective.needs_neighbors:
+                    _, _, nbr_preds = bank.knn_batch(cache.features, cfg.k, exclude_ids=idx)
+                res = objective.loss(cache.P, nbr_preds, lam)
+                grads = backward(model, cache, res.grad)
+                sgd_step(model, grads, cfg.lr, cfg.momentum)
+            except ValueError as exc:
+                raise type(exc)(f"{cfg.objective}, epoch {epoch}, iteration {b}: {exc}") from exc
             history.loss.append(res.value)
             history.lam.append(lam)
             it += 1

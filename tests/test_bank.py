@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfdalab.bank import MODES, MemoryBank, NeighborSet, bank_init
+from sfdalab.bank import MODES, MemoryBank
 from sfdalab.errors import (
     ConfigError,
     InsufficientDataError,
@@ -32,31 +32,31 @@ def uniform_preds(n, c=2):
 
 class TestInit:
     def test_full_empty(self):
-        b = bank_init("full", 600, 4, 2)
+        b = MemoryBank("full", 600, 4, 2)
         assert b.filled == 0 and np.all(b.sample_ids == -1)
         assert b.features.shape == (600, 4)
 
     def test_ring_empty(self):
-        b = bank_init("ring", 64, 4, 2)
+        b = MemoryBank("ring", 64, 4, 2)
         assert b.filled == 0 and b.cursor == 0
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(ConfigError):
-            bank_init("full", 0, 4, 2)
+            MemoryBank("full", 0, 4, 2)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError):
-            bank_init("stack", 4, 4, 2)
+            MemoryBank("stack", 4, 4, 2)
 
     def test_knn_on_empty_bank(self):
-        b = bank_init("full", 10, 2, 2)
+        b = MemoryBank("full", 10, 2, 2)
         with pytest.raises(InsufficientDataError):
-            b.knn([1.0, 0.0], k=1)
+            b.knn_batch([[1.0, 0.0]], k=1)
 
 
 class TestUpdate:
     def test_full_overwrite(self):
-        b = bank_init("full", 10, 2, 2)
+        b = MemoryBank("full", 10, 2, 2)
         b.update([5], [[1.0, 0.0]], [[0.9, 0.1]])
         b.update([5], [[0.0, 1.0]], [[0.2, 0.8]])
         np.testing.assert_array_equal(b.features[5], [0.0, 1.0])
@@ -64,7 +64,7 @@ class TestUpdate:
         assert b.filled == 1
 
     def test_ring_eviction_order(self):
-        b = bank_init("ring", 4, 1, 2)
+        b = MemoryBank("ring", 4, 1, 2)
         b.update([0, 1, 2, 3], [[0.0], [1.0], [2.0], [3.0]], uniform_preds(4))
         b.update([4, 5], [[4.0], [5.0]], uniform_preds(2))
         assert sorted(b.sample_ids.tolist()) == [2, 3, 4, 5]
@@ -72,29 +72,29 @@ class TestUpdate:
         assert b.sample_ids.tolist() == [4, 5, 2, 3]
 
     def test_ring_empty_write_is_a_noop(self):
-        b = bank_init("ring", 4, 1, 2)
+        b = MemoryBank("ring", 4, 1, 2)
         b.update([0, 1], [[0.0], [1.0]], uniform_preds(2))
         b.update([], np.zeros((0, 1)), np.zeros((0, 2)))
         assert b.sample_ids.tolist() == [0, 1, -1, -1]
         assert b.cursor == 2 and b.filled == 2
 
     def test_off_simplex_rejected(self):
-        b = bank_init("full", 4, 1, 2)
+        b = MemoryBank("full", 4, 1, 2)
         with pytest.raises(InvalidInputError):
             b.update([0], [[1.0]], [[0.7, 0.7]])
 
     def test_full_mode_id_beyond_capacity(self):
-        b = bank_init("full", 4, 1, 2)
+        b = MemoryBank("full", 4, 1, 2)
         with pytest.raises(IndexError):
             b.update([4], [[1.0]], [[0.5, 0.5]])
 
     def test_row_misalignment_rejected(self):
-        b = bank_init("full", 4, 1, 2)
+        b = MemoryBank("full", 4, 1, 2)
         with pytest.raises(ShapeError):
             b.update([0, 1], [[1.0]], [[0.5, 0.5]])
 
     def test_negative_id_rejected(self):
-        b = bank_init("full", 4, 1, 2)
+        b = MemoryBank("full", 4, 1, 2)
         with pytest.raises(InvalidInputError):
             b.update([-1], [[1.0]], [[0.5, 0.5]])
 
@@ -104,7 +104,7 @@ class TestUpdate:
     def test_ring_retains_most_recent(self, inserted, capacity):
         # the ring holds the distinct ids among its last `capacity` writes,
         # each in the slot of its latest write, with that write's row
-        b = bank_init("ring", capacity, 1, 2)
+        b = MemoryBank("ring", capacity, 1, 2)
         for chunk_start in range(0, len(inserted), 5):
             chunk = inserted[chunk_start:chunk_start + 5]
             b.update(chunk, [[float(i + 100 * j)] for j, i in enumerate(chunk, chunk_start)],
@@ -123,43 +123,45 @@ class TestUpdate:
 
 class TestKnn:
     def test_hand_cosine_example(self):
-        b = bank_init("full", 3, 2, 2)
+        b = MemoryBank("full", 3, 2, 2)
         b.update([0, 1, 2], [[1.0, 0.0], [0.0, 1.0], [0.9, 0.1]], uniform_preds(3))
-        ids, preds = b.knn([1.0, 0.0], k=1, exclude_id=0)
+        ids, _, preds = b.knn_batch([[1.0, 0.0]], k=1, exclude_ids=[0])
+        ids, preds = ids[0], preds[0]
         assert ids.tolist() == [2]
 
     def test_self_exclusion(self):
-        b = bank_init("full", 3, 2, 2)
+        b = MemoryBank("full", 3, 2, 2)
         b.update([0, 1, 2], [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]], uniform_preds(3))
-        ids, _ = b.knn([1.0, 0.0], k=1, exclude_id=0)
+        ids = b.knn_batch([[1.0, 0.0]], k=1, exclude_ids=[0])[0][0]
         assert 0 not in ids
 
     def test_tie_breaks_to_lower_id(self):
-        b = bank_init("full", 4, 2, 2)
+        b = MemoryBank("full", 4, 2, 2)
         # ids 1 and 3 have identical direction, so identical cosine
         b.update([0, 1, 2, 3],
                  [[0.0, 1.0], [1.0, 0.0], [0.0, -1.0], [2.0, 0.0]],
                  uniform_preds(4))
-        ids, _ = b.knn([1.0, 0.0], k=2)
+        ids = b.knn_batch([[1.0, 0.0]], k=2)[0][0]
         assert ids.tolist() == [1, 3]
 
     def test_zero_norm_feature_never_selected(self):
-        b = bank_init("full", 3, 2, 2)
+        b = MemoryBank("full", 3, 2, 2)
         b.update([0, 1, 2], [[0.0, 0.0], [0.1, 0.0], [-1.0, 0.0]], uniform_preds(3))
-        ids, _ = b.knn([1.0, 0.0], k=2)
+        ids = b.knn_batch([[1.0, 0.0]], k=2)[0][0]
         assert ids.tolist() == [1, 2]
 
     def test_insufficient_data(self):
-        b = bank_init("full", 4, 2, 2)
+        b = MemoryBank("full", 4, 2, 2)
         b.update([0, 1], [[1.0, 0.0], [0.0, 1.0]], uniform_preds(2))
         with pytest.raises(InsufficientDataError):
-            b.knn([1.0, 0.0], k=2)
+            b.knn_batch([[1.0, 0.0]], k=2)
 
     def test_predictions_are_snapshots(self):
-        b = bank_init("full", 3, 2, 2)
+        b = MemoryBank("full", 3, 2, 2)
         b.update([0, 1, 2], [[1.0, 0.0], [0.9, 0.1], [0.0, 1.0]],
                  [[0.9, 0.1], [0.8, 0.2], [0.1, 0.9]])
-        ids, preds = b.knn([1.0, 0.0], k=1, exclude_id=0)
+        ids, _, preds = b.knn_batch([[1.0, 0.0]], k=1, exclude_ids=[0])
+        ids, preds = ids[0], preds[0]
         before = preds.copy()
         b.update(ids, [[0.5, 0.5]], [[0.5, 0.5]])
         np.testing.assert_array_equal(preds, before)
@@ -167,14 +169,14 @@ class TestKnn:
     def test_cosine_scale_invariance(self):
         rng = np.random.Generator(np.random.PCG64(3))
         feats = rng.normal(size=(10, 3))
-        b1 = bank_init("full", 10, 3, 2)
+        b1 = MemoryBank("full", 10, 3, 2)
         b1.update(np.arange(10), feats, uniform_preds(10))
-        b2 = bank_init("full", 10, 3, 2)
+        b2 = MemoryBank("full", 10, 3, 2)
         scales = rng.uniform(0.1, 9.0, size=(10, 1))
         b2.update(np.arange(10), feats * scales, uniform_preds(10))
         q = rng.normal(size=3)
-        ids1, _ = b1.knn(q, k=4)
-        ids2, _ = b2.knn(5.0 * q, k=4)
+        ids1 = b1.knn_batch([q], k=4)[0][0]
+        ids2 = b2.knn_batch([5.0 * q], k=4)[0][0]
         np.testing.assert_array_equal(ids1, ids2)
 
     def test_matches_brute_force_random(self):
@@ -184,33 +186,21 @@ class TestKnn:
             h = int(rng.integers(2, 6))
             k = int(rng.integers(1, min(n - 1, 8) + 1))
             feats = rng.normal(size=(n, h))
-            b = bank_init("full", n, h, 2)
+            b = MemoryBank("full", n, h, 2)
             b.update(np.arange(n), feats, uniform_preds(n))
             q = rng.normal(size=h)
             excl = int(rng.integers(0, n))
-            ids, _ = b.knn(q, k=k, exclude_id=excl)
+            ids = b.knn_batch([q], k=k, exclude_ids=[excl])[0][0]
             assert ids.tolist() == brute_force_knn(np.arange(n), feats, q, k, excl)
 
-    def test_knn_batch_consistent_with_single(self):
-        rng = np.random.Generator(np.random.PCG64(23))
-        feats = rng.normal(size=(12, 4))
-        b = bank_init("full", 12, 4, 3)
-        b.update(np.arange(12), feats, np.full((12, 3), 1.0 / 3.0))
-        Q = rng.normal(size=(5, 4))
-        ids_b, feats_b, preds_b = b.knn_batch(Q, 3, exclude_ids=[0, 1, 2, 3, 4])
-        for r in range(5):
-            ids_s, preds_s = b.knn(Q[r], 3, exclude_id=r)
-            np.testing.assert_array_equal(ids_b[r], ids_s)
-            np.testing.assert_array_equal(preds_b[r], preds_s)
-
     def test_ring_mode_knn_over_buffer(self):
-        b = bank_init("ring", 4, 2, 2)
+        b = MemoryBank("ring", 4, 2, 2)
         b.update([0, 1, 2, 3, 4, 5],
                  [[1.0, 0.0], [0.0, 1.0], [1.0, 0.1], [0.0, -1.0],
                   [1.0, 0.05], [-1.0, 0.0]],
                  uniform_preds(6))
         # buffer now holds ids 2..5; closest to (1,0) among them is 4 then 2
-        ids, _ = b.knn([1.0, 0.0], k=2)
+        ids = b.knn_batch([[1.0, 0.0]], k=2)[0][0]
         assert ids.tolist() == [4, 2]
 
 
@@ -257,53 +247,53 @@ def banks_with_queries(draw):
 
 class TestExclusion:
     def test_excluded_not_returned_when_others_are_zero_norm(self):
-        b = bank_init("full", 4, 2, 2)
+        b = MemoryBank("full", 4, 2, 2)
         b.update([0, 1, 2, 3], [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
                  uniform_preds(4))
-        ids, _ = b.knn([1.0, 0.0], k=3, exclude_id=0)
+        ids = b.knn_batch([[1.0, 0.0]], k=3, exclude_ids=[0])[0][0]
         assert ids.tolist() == [1, 2, 3]
 
     def test_excluded_not_returned_for_zero_norm_query(self):
-        b = bank_init("full", 4, 2, 2)
+        b = MemoryBank("full", 4, 2, 2)
         b.update([0, 1, 2, 3], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]],
                  uniform_preds(4))
-        ids, _ = b.knn([0.0, 0.0], k=2, exclude_id=0)
+        ids = b.knn_batch([[0.0, 0.0]], k=2, exclude_ids=[0])[0][0]
         assert ids.tolist() == [1, 2]
 
     def test_excluded_inside_tie_group_straddling_kth_place(self):
-        b = bank_init("full", 6, 2, 2)
+        b = MemoryBank("full", 6, 2, 2)
         # id 4 is nearest; ids 0, 1, 3, 5 differ by powers of two in length,
         # so their cosines to the query tie exactly for second place
         b.update(np.arange(6),
                  [[1.0, 1.0], [2.0, 2.0], [0.0, 1.0], [4.0, 4.0], [1.0, 0.9], [0.5, 0.5]],
                  uniform_preds(6))
         q = [1.0, 0.8]
-        ids, _ = b.knn(q, k=3)
+        ids = b.knn_batch([q], k=3)[0][0]
         assert ids.tolist() == [4, 0, 1]
-        ids, _ = b.knn(q, k=3, exclude_id=1)
+        ids = b.knn_batch([q], k=3, exclude_ids=[1])[0][0]
         assert ids.tolist() == [4, 0, 3]
-        ids, _ = b.knn(q, k=3, exclude_id=0)
+        ids = b.knn_batch([q], k=3, exclude_ids=[0])[0][0]
         assert ids.tolist() == [4, 1, 3]
 
     def test_ring_holds_one_copy_of_a_rewritten_id(self):
-        b = bank_init("ring", 5, 2, 2)
+        b = MemoryBank("ring", 5, 2, 2)
         # id 7 is written three times, twice in one batch and once after;
         # every write sits right next to the query
         b.update([7, 1, 7], [[1.0, 0.0], [0.0, 1.0], [1.0, 0.01]], uniform_preds(3))
         b.update([2, 7], [[-1.0, 0.0], [1.0, -0.01]], uniform_preds(2))
         assert b.sample_ids.tolist() == [-1, 1, -1, 2, 7]
         assert b.filled == 3
-        ids, _ = b.knn([1.0, 0.0], k=2, exclude_id=7)
+        ids = b.knn_batch([[1.0, 0.0]], k=2, exclude_ids=[7])[0][0]
         assert ids.tolist() == [1, 2]
-        ids, _ = b.knn([1.0, 0.0], k=2, exclude_id=1)
+        ids = b.knn_batch([[1.0, 0.0]], k=2, exclude_ids=[1])[0][0]
         assert ids.tolist() == [7, 2]
 
     def test_ring_too_few_rows_besides_excluded_id(self):
-        b = bank_init("ring", 4, 2, 2)
+        b = MemoryBank("ring", 4, 2, 2)
         b.update([7, 7, 7, 1], [[1.0, 0.0], [1.0, 0.1], [1.0, 0.2], [0.0, 1.0]],
                  uniform_preds(4))
         with pytest.raises(InsufficientDataError):
-            b.knn([1.0, 0.0], k=2, exclude_id=7)
+            b.knn_batch([[1.0, 0.0]], k=2, exclude_ids=[7])
 
     @given(banks_with_queries())
     @settings(max_examples=200, deadline=None)
@@ -332,39 +322,9 @@ class TestExclusion:
             assert all(np.unique(row).size == k for row in got)
 
 
-class TestNeighborSet:
-    def test_valid(self):
-        ns = NeighborSet(anchor=0, close=[1, 2], background=[3, 4, 5])
-        assert ns.anchor == 0
-
-    def test_anchor_in_close_rejected(self):
-        with pytest.raises(InvalidInputError):
-            NeighborSet(anchor=1, close=[1, 2], background=[3, 4, 5])
-
-    def test_anchor_in_background_rejected(self):
-        with pytest.raises(InvalidInputError):
-            NeighborSet(anchor=3, close=[1, 2], background=[3, 4, 5])
-
-    def test_close_not_smaller_rejected(self):
-        with pytest.raises(InvalidInputError):
-            NeighborSet(anchor=0, close=[1, 2, 3], background=[4, 5])
-
-
 class TestDumpAndSnapshot:
-    def test_dump_csv_round_trip(self, tmp_path):
-        b = bank_init("full", 3, 2, 2)
-        b.update([0, 2], [[1.5, -0.25], [0.125, 3.0]], [[0.75, 0.25], [0.5, 0.5]])
-        path = tmp_path / "bank.csv"
-        b.dump_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "id,f0,f1,p0,p1"
-        rows = [ln.split(",") for ln in lines[1:]]
-        assert [r[0] for r in rows] == ["0", "2"]
-        assert [float(v) for v in rows[0][1:]] == [1.5, -0.25, 0.75, 0.25]
-        assert [float(v) for v in rows[1][1:]] == [0.125, 3.0, 0.5, 0.5]
-
     def test_snapshot_detached(self):
-        b = bank_init("full", 2, 1, 2)
+        b = MemoryBank("full", 2, 1, 2)
         b.update([0, 1], [[1.0], [2.0]], uniform_preds(2))
         ids, feats, preds = b.snapshot()
         b.update([0], [[9.0]], [[0.1, 0.9]])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sfdalab.cli import build_parser, main, parse_data_spec
-from sfdalab.errors import ParseError
+from sfdalab.errors import ConfigError, ParseError
 from sfdalab.model import load_checkpoint
 
 
@@ -60,6 +60,11 @@ class TestPretrainCommand:
               "--epochs", "5"])
         assert "source accuracy" in capsys.readouterr().out
 
+    def test_zero_batch_size_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="batch_size"):
+            main(["pretrain", "--data", "moons:n=20,seed=1", "--out", str(tmp_path / "m.json"),
+                  "--epochs", "1", "--batch-size", "0"])
+
 
 class TestAdaptCommand:
     def test_adapt_writes_history_and_checkpoint(self, source_ckpt, tmp_path, capsys):
@@ -107,6 +112,12 @@ class TestSweepCommand:
         assert len(lines) == 3
         assert sum(line.endswith(",1") for line in lines[1:]) == 1
         assert "selected by SND" in capsys.readouterr().out
+
+    def test_bad_beta_rejected(self, source_ckpt, tmp_path):
+        with pytest.raises(ParseError, match="'x'"):
+            main(["sweep", "--ckpt", source_ckpt, "--target", "moons:rot=30,n=40,seed=0",
+                  "--betas", "0,x", "--seeds", "1", "--epochs", "1",
+                  "--batch-size", "16", "--k", "2", "--out", str(tmp_path / "sweep.csv")])
 
 
 class TestEvalCommand:

@@ -9,13 +9,11 @@ from sfdalab import numerics
 from sfdalab.errors import InvalidInputError, OracleError, ShapeError
 from sfdalab.numerics import (
     SCRATCH_MAX_ENTRIES,
-    entropy,
     finite_diff_grad,
     l2_normalize_rows,
     max_relative_error,
     scratch,
     single_blas_thread,
-    singular_values,
     softmax_rows,
 )
 
@@ -53,38 +51,6 @@ class TestSoftmaxRows:
         base = softmax_rows([row])
         shifted = softmax_rows([[v + c for v in row]])
         np.testing.assert_allclose(base, shifted, atol=1e-12)
-
-
-class TestEntropy:
-    def test_degenerate(self):
-        assert entropy([1.0, 0.0]) == 0.0
-
-    def test_uniform_two(self):
-        assert abs(entropy([0.5, 0.5]) - np.log(2.0)) < 1e-15
-
-    def test_uniform_four(self):
-        assert abs(entropy([0.25] * 4) - np.log(4.0)) < 1e-15
-
-    def test_off_simplex_rejected(self):
-        with pytest.raises(InvalidInputError):
-            entropy([0.5, 0.6])
-        with pytest.raises(InvalidInputError):
-            entropy([-0.1, 1.1])
-
-    @given(st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=8))
-    def test_bounds(self, raw):
-        p = np.asarray(raw) / np.sum(raw)
-        p = p / p.sum()  # renormalize twice to land within 1e-9
-        h = entropy(p)
-        assert -1e-12 <= h <= np.log(p.size) + 1e-9
-
-    def test_maximized_only_at_uniform(self):
-        c = 5
-        assert abs(entropy(np.full(c, 1.0 / c)) - np.log(c)) < 1e-12
-        bumped = np.full(c, 1.0 / c)
-        bumped[0] += 0.01
-        bumped[1] -= 0.01
-        assert entropy(bumped) < np.log(c)
 
 
 class TestL2NormalizeRows:
@@ -163,38 +129,6 @@ class TestMaxRelativeError:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             max_relative_error([1.0], [1.0, 2.0])
-
-
-class TestSingularValues:
-    def test_identity(self):
-        np.testing.assert_allclose(singular_values(np.eye(2)), [1.0, 1.0])
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(singular_values(np.diag([3.0, 0.0])), [3.0, 0.0])
-
-    def test_descending_nonnegative(self):
-        rng = np.random.Generator(np.random.PCG64(5))
-        s = singular_values(rng.normal(size=(6, 9)))
-        assert np.all(s >= 0)
-        assert np.all(np.diff(s) <= 1e-12)
-
-    def test_determinant_cross_check(self):
-        rng = np.random.Generator(np.random.PCG64(11))
-        M = rng.normal(size=(8, 4))
-        s = singular_values(M)
-        assert abs(np.prod(s ** 2) - np.linalg.det(M.T @ M)) < 1e-8 * max(
-            1.0, abs(np.linalg.det(M.T @ M)))
-
-    def test_frobenius_identity(self):
-        rng = np.random.Generator(np.random.PCG64(13))
-        for _ in range(10):
-            M = rng.normal(size=(rng.integers(2, 12), rng.integers(2, 12)))
-            s = singular_values(M)
-            assert abs(np.sum(s ** 2) - np.sum(M ** 2)) < 1e-8
-
-    def test_size_limit(self):
-        with pytest.raises(ShapeError):
-            singular_values(np.zeros((513, 2)))
 
 
 class TestScratch:

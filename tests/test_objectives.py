@@ -7,9 +7,7 @@ from sfdalab.errors import ConfigError, InvalidInputError, ShapeError
 from sfdalab.numerics import finite_diff_grad, max_relative_error
 from sfdalab.objectives import (
     LossResult,
-    aad_loss,
     attract_disperse_loss,
-    batch_approx_bound,
     bnm_loss,
     cross_entropy_loss,
     disperse_only_loss,
@@ -65,7 +63,7 @@ class TestAttractDisperse:
     def test_one_hot_example(self):
         P = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         nbr = np.tile(np.array([1.0, 0.0]), (3, 1, 1))
-        res = aad_loss(P, nbr, lam=1.0)
+        res = attract_disperse_loss(P, nbr, lam=1.0)
         # each row: attraction -p.n cancels against its dispersion sum
         assert res.value == pytest.approx(0.0, abs=1e-12)
 
@@ -73,7 +71,7 @@ class TestAttractDisperse:
         rng = np.random.default_rng(0)
         P = random_simplex(rng, 5, 3)
         nbr = random_neighbors(rng, 5, 2, 3)
-        res = aad_loss(P, nbr, lam=0.0)
+        res = attract_disperse_loss(P, nbr, lam=0.0)
         manual = -np.mean([P[i] @ nbr[i].sum(axis=0) for i in range(5)])
         assert res.value == pytest.approx(manual, rel=1e-12)
         assert res.div_term == 0.0
@@ -82,7 +80,7 @@ class TestAttractDisperse:
         P = np.array([[0.7, 0.3], [0.2, 0.8]])
         nbr = np.zeros((2, 1, 2))
         nbr[:, 0, :] = [0.5, 0.5]
-        res = aad_loss(P, nbr, lam=2.0)
+        res = attract_disperse_loss(P, nbr, lam=2.0)
         # dispersion: (p0.p1 + p1.p0)/2 = p0.p1, weighted by lambda
         expected_div = 2.0 * float(P[0] @ P[1])
         assert res.div_term == pytest.approx(expected_div, rel=1e-12)
@@ -95,16 +93,16 @@ class TestAttractDisperse:
         P = random_simplex(rng, bs, c)
         nbr = random_neighbors(rng, bs, k, c)
         lam = float(rng.uniform(0.1, 2.0))
-        res = aad_loss(P, nbr, lam)
-        fd_check(lambda v: aad_loss(v.reshape(bs, c), nbr, lam).value, P, res.grad)
+        res = attract_disperse_loss(P, nbr, lam)
+        fd_check(lambda v: attract_disperse_loss(v.reshape(bs, c), nbr, lam).value, P, res.grad)
 
     def test_row_permutation_consistency(self):
         rng = np.random.default_rng(4)
         P = random_simplex(rng, 5, 3)
         nbr = random_neighbors(rng, 5, 2, 3)
         perm = np.array([3, 0, 4, 1, 2])
-        a = aad_loss(P, nbr, 0.7)
-        b = aad_loss(P[perm], nbr[perm], 0.7)
+        a = attract_disperse_loss(P, nbr, 0.7)
+        b = attract_disperse_loss(P[perm], nbr[perm], 0.7)
         assert b.value == pytest.approx(a.value, rel=1e-12)
         assert np.allclose(b.grad, a.grad[perm], rtol=1e-12, atol=0)
 
@@ -113,8 +111,8 @@ class TestAttractDisperse:
         P = random_simplex(rng, 4, 3)
         nbr = random_neighbors(rng, 4, 2, 3)
         lam = 1.3
-        full = aad_loss(P, nbr, lam)
-        attract = aad_loss(P, nbr, 0.0)
+        full = attract_disperse_loss(P, nbr, lam)
+        attract = attract_disperse_loss(P, nbr, 0.0)
         disp = disperse_only_loss(P, lam)
         assert disp.value == pytest.approx(full.value - attract.value, rel=1e-10)
         assert np.allclose(disp.grad, full.grad - attract.grad, atol=1e-14)
@@ -129,18 +127,14 @@ class TestAttractDisperse:
         P = np.array([[0.5, 0.5]])
         nbr = np.ones((1, 1, 2)) * 0.5
         with pytest.raises(ShapeError):
-            aad_loss(P, nbr, 1.0)
+            attract_disperse_loss(P, nbr, 1.0)
         P2 = np.array([[0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(ConfigError):
-            aad_loss(P2, np.ones((2, 1, 2)) * 0.5, -0.5)
+            attract_disperse_loss(P2, np.ones((2, 1, 2)) * 0.5, -0.5)
         with pytest.raises(ShapeError):
-            aad_loss(P2, np.ones((2, 2)) * 0.5, 1.0)
+            attract_disperse_loss(P2, np.ones((2, 2)) * 0.5, 1.0)
         with pytest.raises(InvalidInputError):
-            aad_loss(np.array([[0.9, 0.3], [0.5, 0.5]]), np.ones((2, 1, 2)) * 0.5, 1.0)
-
-    def test_alias_is_same_function(self):
-        assert aad_loss is attract_disperse_loss
-
+            attract_disperse_loss(np.array([[0.9, 0.3], [0.5, 0.5]]), np.ones((2, 1, 2)) * 0.5, 1.0)
 
 def direct_nll(i, A, close, background):
     """Independent oracle: explicit per-pair selection probabilities."""
@@ -221,12 +215,6 @@ class TestJensenBound:
         A = np.full((4, 2), 0.5)
         with pytest.raises(InvalidInputError):
             jensen_upper_bound(0, A, [1, 2], [3])
-
-    def test_batch_approx_agrees_when_background_mean_is_global(self):
-        A = np.tile(np.array([0.4, 0.6]), (5, 1))
-        exact_bound = jensen_upper_bound(0, A, [1], [2, 3, 4])
-        approx = batch_approx_bound(0, A, [1], [2, 3, 4])
-        assert approx == pytest.approx(exact_bound, rel=1e-12)
 
 
 class TestMutualInformation:
@@ -309,7 +297,7 @@ class TestNeighborConsistency:
         P = random_simplex(rng, 5, 3)
         nbr = random_neighbors(rng, 5, 2, 3)
         nc = nc_loss(P, nbr, weights=None, g_mode="identity")
-        ref = aad_loss(P, nbr, lam=0.0)
+        ref = attract_disperse_loss(P, nbr, lam=0.0)
         assert nc.dis_term == pytest.approx(ref.dis_term, rel=1e-12)
 
     def test_collapsed_batch_kl_value(self):

@@ -95,6 +95,12 @@ class TestPretrainSource:
         b = pretrain_source(init_model(2, 8, 8, 2, seed=2), ds, 10, 0.01, seed=5)[0]
         assert np.array_equal(get_flat_params(a), get_flat_params(b))
 
+    @pytest.mark.parametrize("batch_size", [0, -5])
+    def test_rejects_batch_size_below_one(self, batch_size):
+        with pytest.raises(ConfigError, match="batch_size"):
+            pretrain_source(init_model(2, 8, 8, 2, seed=0), small_moons(), 1, 0.01,
+                            batch_size=batch_size)
+
     def test_rejects_unlabeled_source(self):
         ds = strip_labels(small_moons())
         with pytest.raises(InvalidInputError):
@@ -169,6 +175,11 @@ class TestAdapt:
         model, tgt = pretrained()
         _, hist = adapt(model, tgt, small_cfg(objective=objective, epochs=1))
         assert len(hist.loss) > 0 and np.isfinite(hist.loss).all()
+
+    def test_step_error_names_objective_epoch_and_iteration(self):
+        model, tgt = pretrained()
+        with pytest.raises(InvalidInputError, match=r"AaD, epoch 0, iteration \d+: "):
+            adapt(model, tgt, small_cfg(epochs=1, lr=1e300))
 
     def test_adaptation_improves_target_accuracy(self):
         model, tgt = pretrained(seed=0, n=100)
