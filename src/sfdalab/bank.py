@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, InsufficientDataError, InvalidInputError, ShapeError
-from .numerics import as_matrix, require_simplex_rows, scratch
+from .numerics import as_matrix, require_simplex_rows, row_blocks, scratch
 
 MODES = ("full", "ring")
 
@@ -127,13 +127,9 @@ class MemoryBank:
 
         norms = np.linalg.norm(cand_feats, axis=1)
         qnorms = np.linalg.norm(Q, axis=1)
-        sims = np.matmul(Q, cand_feats.T, out=scratch("knn.sims", (nq, n)))
-        denom = np.multiply.outer(np.where(qnorms > 0, qnorms, 1.0),
-                                  np.where(norms > 0, norms, 1.0),
-                                  out=scratch("knn.denom", (nq, n)))
-        sims /= denom
-        sims[:, norms == 0.0] = -np.inf
-        sims[qnorms == 0.0, :] = -np.inf
+        cand_den = np.where(norms > 0, norms, 1.0)
+        query_den = np.where(qnorms > 0, qnorms, 1.0)
+        zero_cands = norms == 0.0
 
         # candidates are in id order and hold each id once, so query r's
         # excluded id, if stored, sits at position pos[r]
@@ -143,20 +139,30 @@ class MemoryBank:
                 raise ShapeError("exclude_ids must supply one id per query row")
             pos = np.searchsorted(cand_ids, excl)
             hit = np.flatnonzero(cand_ids[np.minimum(pos, n - 1)] == excl)
-            sims[hit, pos[hit]] = -np.inf
 
-        # argmax returns the first maximum, which is the lowest id among
-        # tied candidates, so k rounds of argmax-and-mask yield the exact
-        # (-similarity, id) order. Picks never increase along a row, so a
-        # row whose finite candidates run out shows -inf in its last pick;
-        # its remaining places go to the -inf rows in id order.
+        # Each query ranks its own row of similarities, so queries go in
+        # blocks of rows through reused work arrays. argmax returns the
+        # first maximum, which is the lowest id among tied candidates, so
+        # k rounds of argmax-and-mask yield the exact (-similarity, id)
+        # order. Picks never increase along a row, so a row whose finite
+        # candidates run out shows -inf in its last pick; its remaining
+        # places go to the -inf rows in id order.
         order = np.empty((nq, k), dtype=np.int64)
         picked = np.empty((nq, k))
-        qrows = np.arange(nq)
-        for j in range(k):
-            order[:, j] = best = np.argmax(sims, axis=1)
-            picked[:, j] = sims[qrows, best]
-            sims[qrows, best] = -np.inf
+        for lo, hi in row_blocks(nq):
+            sims = np.matmul(Q[lo:hi], cand_feats.T, out=scratch("knn.sims", (hi - lo, n)))
+            sims /= np.multiply.outer(query_den[lo:hi], cand_den,
+                                      out=scratch("knn.denom", (hi - lo, n)))
+            sims[:, zero_cands] = -np.inf
+            sims[qnorms[lo:hi] == 0.0, :] = -np.inf
+            if exclude_ids is not None:
+                rows = hit[np.searchsorted(hit, lo):np.searchsorted(hit, hi)]
+                sims[rows - lo, pos[rows]] = -np.inf
+            qrows = np.arange(hi - lo)
+            for j in range(k):
+                order[lo:hi, j] = best = np.argmax(sims, axis=1)
+                picked[lo:hi, j] = sims[qrows, best]
+                sims[qrows, best] = -np.inf
         for r in np.flatnonzero(picked[:, -1] == -np.inf):
             j = int(np.sum(picked[r] > -np.inf))
             rest = np.ones(n, dtype=bool)

@@ -9,7 +9,7 @@ digits), so save -> load reproduces every value exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

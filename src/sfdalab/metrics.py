@@ -9,6 +9,7 @@ boundary grids exported as CSV for plotting.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import numpy as np
 from .bank import MemoryBank
 from .errors import ConfigError, InsufficientDataError, ShapeError
 from .model import MlpModel, forward, predict_labels
-from .numerics import as_matrix, l2_normalize_rows, scratch, single_blas_thread
+from .numerics import as_matrix, l2_normalize_rows, row_blocks, scratch, single_blas_thread
 
 SND_TAU = 0.05
 RATIO_K = 3
@@ -78,25 +79,35 @@ def snd_score(P_target, tau: float = SND_TAU) -> float:
     matrix whose diagonal is masked out, each row is softmaxed at
     temperature tau, and the mean row entropy is returned. Larger values
     indicate denser, more consistent prediction neighborhoods.
+
+    Each row's entropy depends on that row alone, so the similarity
+    matrix is built one block of rows at a time in reused work arrays,
+    with the steps of the n x n formulation. Only BLAS can tell the two
+    apart: it may round the last bit of a product differently for a row
+    in a call with another number of rows.
     """
     P = as_matrix(P_target, "P_target")
     if P.shape[0] < 2:
         raise InsufficientDataError("SND needs at least 2 rows")
-    if tau <= 0:
-        raise ConfigError("tau must be positive")
+    if not (math.isfinite(tau) and tau > 0):
+        raise ConfigError(f"tau must be finite and positive, got {tau!r}")
     U = l2_normalize_rows(P)
-    sims = np.matmul(U, U.T, out=scratch("snd.sims", (P.shape[0],) * 2))
-    sims /= tau
-    np.fill_diagonal(sims, -np.inf)
-    # softmax per row; exp(-inf) = 0 removes the diagonal cleanly.
-    # Row entropy via H = log z - sum(w * shifted) / z with w = exp(shifted),
-    # z = sum(w), which avoids materializing log(p) for every entry.
-    sims -= sims.max(axis=1, keepdims=True)
-    w = np.exp(sims, out=scratch("snd.w", sims.shape))
-    np.fill_diagonal(sims, 0.0)  # clears the -inf before the product below
-    np.multiply(w, sims, out=sims)
-    z = w.sum(axis=1)
-    ent = np.log(z) - sims.sum(axis=1) / z
+    n = U.shape[0]
+    ent = np.empty(n)
+    for lo, hi in row_blocks(n):
+        sims = np.matmul(U[lo:hi], U.T, out=scratch("snd.sims", (hi - lo, n)))
+        sims /= tau
+        diag = (np.arange(hi - lo), np.arange(lo, hi))
+        sims[diag] = -np.inf
+        # softmax per row; exp(-inf) = 0 removes the diagonal cleanly.
+        # Row entropy via H = log z - sum(w * shifted) / z with w = exp(shifted),
+        # z = sum(w), which avoids materializing log(p) for every entry.
+        sims -= sims.max(axis=1, keepdims=True)
+        w = np.exp(sims, out=scratch("snd.w", sims.shape))
+        sims[diag] = 0.0  # clears the -inf before the product below
+        np.multiply(w, sims, out=sims)
+        z = w.sum(axis=1)
+        ent[lo:hi] = np.log(z) - sims.sum(axis=1) / z
     return float(ent.mean())
 
 

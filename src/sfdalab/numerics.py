@@ -27,6 +27,11 @@ from .errors import InvalidInputError, OracleError, ShapeError
 # thread and reused; larger ones are allocated fresh on every call.
 SCRATCH_MAX_ENTRIES = 1 << 21
 
+# Rows per block in the kernels that compare each query row with all n
+# candidates (SND, KNN), so their work arrays hold at most 128 x n
+# entries, not n x n.
+_BLOCK_ROWS = 128
+
 _scratch = threading.local()
 
 # Below this norm the squared norm of a row underflows the normal float range.
@@ -37,9 +42,9 @@ def scratch(name: str, shape) -> np.ndarray:
     """Uninitialised C-contiguous float64 work array of ``shape``.
 
     Calls passing the same ``name`` from the same thread share memory, so
-    repeated n x n kernels skip the allocation and page-fault cost of a
-    fresh array. The caller must write every entry before reading it and
-    must not keep the array past its own call.
+    a kernel called again, or once per row block, skips the allocation
+    and page-fault cost of a fresh array. The caller must write every
+    entry before reading it and must not keep the array past its own call.
     """
     shape = tuple(int(d) for d in shape)
     size = math.prod(shape)
@@ -52,6 +57,23 @@ def scratch(name: str, shape) -> np.ndarray:
     if flat is None or flat.size < size:
         flat = pool[name] = np.empty(size)
     return flat[:size].reshape(shape)
+
+
+def row_blocks(n: int):
+    """(lo, hi) bounds of consecutive row blocks covering range(n).
+
+    No block holds a single row unless n == 1: numpy computes a one-row
+    matmul with a matrix-vector BLAS kernel, whose sums can differ in the
+    last bit from the matrix-matrix kernel that computes larger blocks.
+    """
+    step = max(_BLOCK_ROWS, 2)
+    lo = 0
+    while lo < n:
+        hi = min(lo + step, n)
+        if hi == n - 1:
+            hi = n
+        yield lo, hi
+        lo = hi
 
 
 # (get, set) thread-count entry points of the OpenBLAS builds numpy ships

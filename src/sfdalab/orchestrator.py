@@ -19,6 +19,7 @@ and ``adapt`` run their BLAS kernels on one thread
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -88,20 +89,20 @@ class AdaptConfig:
             raise ConfigError("batch_size must be >= 2")
         if self.k < 1 or self.k >= self.batch_size - 1:
             raise ConfigError("k must satisfy 1 <= k < batch_size - 1")
-        if self.beta < 0:
-            raise ConfigError("beta must be >= 0")
+        if not self.beta >= 0:  # NaN fails every comparison; +inf is a legal limit
+            raise ConfigError(f"beta must be >= 0, got {self.beta!r}")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and positive, got {self.lr!r}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must be in [0, 1)")
         if self.bank_mode not in ("full", "ring"):
             raise ConfigError(f"unknown bank_mode {self.bank_mode!r}")
         if self.bank_mode == "ring" and self.ring_capacity <= self.k:
             raise ConfigError("ring_capacity must exceed k")
-        if self.snd_tau <= 0:
-            raise ConfigError("snd_tau must be positive")
+        if not (math.isfinite(self.snd_tau) and self.snd_tau > 0):
+            raise ConfigError(f"snd_tau must be finite and positive, got {self.snd_tau!r}")
 
 
 def canonical_objective(name: str) -> str:
@@ -159,6 +160,8 @@ def pretrain_source(model: MlpModel, source: Dataset, epochs: int, lr: float,
     place and also returned. Reports final source accuracy."""
     if epochs < 0:
         raise ConfigError("epochs must be >= 0")
+    if not (math.isfinite(lr) and lr > 0):
+        raise ConfigError(f"lr must be finite and positive, got {lr!r}")
     if batch_size < 1:
         raise ConfigError("batch_size must be >= 1")
     if np.any(source.labels < 0):

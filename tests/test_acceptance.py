@@ -7,7 +7,6 @@ diagnostic: its (beta, SND, accuracy) table is printed whether it passes
 or fails.
 """
 
-import json
 import time
 
 import numpy as np
@@ -15,9 +14,8 @@ import pytest
 
 from sfdalab.bank import MemoryBank
 from sfdalab.datasets import MoonsConfig, make_twin_moons, rotate_dataset
-from sfdalab.metrics import evaluate_model, open_set_scores, snd_score
+from sfdalab.metrics import evaluate_model, open_set_scores
 from sfdalab.model import (
-    forward,
     get_flat_params,
     init_model,
     load_checkpoint,

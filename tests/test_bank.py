@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sfdalab import numerics
 from sfdalab.bank import MODES, MemoryBank
 from sfdalab.errors import (
     ConfigError,
@@ -320,6 +321,81 @@ class TestExclusion:
         for excl in (own_ids, None):
             got, _, _ = bank.knn_batch(queries, k, exclude_ids=excl)
             assert all(np.unique(row).size == k for row in got)
+
+
+def slots_per_block_size(bank, queries, k, exclude_ids):
+    """knn_slots under query blocks of 1 (raised to 2), 7 and all rows;
+    one block of all rows is the arithmetic of an unblocked call."""
+    out = []
+    for size in (1, 7, len(queries)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numerics, "_BLOCK_ROWS", size)
+            out.append(bank.knn_slots(queries, k, exclude_ids=exclude_ids))
+    return out
+
+
+@st.composite
+def all_pairs_banks(draw):
+    """A full or ring bank whose every stored row is also a query, as in
+    the per-epoch agreement ratios; sometimes the full bank holds every
+    slot (its no-gather path). Coarse features force ties, zero-norm rows
+    and zero-norm queries; being small integers, their dot products are
+    exact in any summation order, so every block size must agree to the
+    bit."""
+    mode = draw(st.sampled_from(MODES))
+    pool = draw(st.integers(5, 40))
+    capacity = pool if mode == "full" else draw(st.integers(5, 40))
+    k = draw(st.integers(1, 4))
+    bank = MemoryBank(mode, capacity, 2, 2)
+    coord = st.integers(-2, 2).map(float)
+    writes = [list(range(pool))] if mode == "full" and draw(st.booleans()) else []
+    for _ in range(draw(st.integers(1, 4))):
+        writes.append(draw(st.lists(st.integers(0, pool - 1), min_size=1, max_size=40,
+                                    unique=mode == "full")))
+    for ids in writes:
+        bank.update(ids, [[draw(coord), draw(coord)] for _ in ids], uniform_preds(len(ids)))
+    assume(bank.filled > k)
+    return bank, k
+
+
+class TestQueryBlocks:
+    @given(all_pairs_banks())
+    @settings(max_examples=150, deadline=None)
+    def test_blocks_match_one_block_and_the_oracle(self, case):
+        bank, k = case
+        ids, feats, _ = bank.snapshot()
+        for excl in (ids, None):
+            per_size = slots_per_block_size(bank, feats, k, excl)
+            for slots in per_size:
+                assert np.array_equal(slots, per_size[-1])
+            if excl is not None:
+                got = bank.sample_ids[per_size[-1]].tolist()
+                assert got == oracle_knn_batch(bank, feats, k, ids)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_fallback_rows_on_both_sides_of_a_block_edge(self, mode):
+        # 20 ids, five of them zero-norm; query rows 6, 7, 13 and 14 are
+        # zero-norm, so they rank every row at -inf and fill their places
+        # in id order. Blocks of 7 end at rows 6 and 13; blocks of 2 (the
+        # least a block holds) end at row 13.
+        rng = np.random.default_rng(3)
+        feats = rng.integers(-2, 3, size=(20, 2)).astype(float)
+        feats[[6, 7, 13, 14, 19]] = 0.0
+        capacity = 20 if mode == "full" else 24
+        bank = MemoryBank(mode, capacity, 2, 2)
+        if mode == "ring":  # rewrite some ids so slots are not in id order
+            bank.update([3, 19, 5], np.ones((3, 2)), uniform_preds(3))
+        bank.update(np.arange(20)[::-1], feats[::-1], uniform_preds(20))
+        ids, stored, _ = bank.snapshot()
+        assert ids.tolist() == list(range(20))
+        k = 4
+        per_size = slots_per_block_size(bank, stored, k, ids)
+        for slots in per_size:
+            assert np.array_equal(slots, per_size[-1])
+        got = bank.sample_ids[per_size[-1]]
+        assert got.tolist() == oracle_knn_batch(bank, stored, k, ids)
+        for r in (6, 7, 13, 14):
+            assert got[r].tolist() == [0, 1, 2, 3]
 
 
 class TestDumpAndSnapshot:

@@ -1,10 +1,14 @@
 """Accuracy reports, SND, agreement ratios, open-set scores, decision grids."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sfdalab import numerics
 from sfdalab.bank import MemoryBank
 from sfdalab.errors import ConfigError, InsufficientDataError, ShapeError
 from sfdalab.metrics import (
@@ -98,6 +102,51 @@ class TestSndScore:
         with pytest.raises(ConfigError):
             snd_score(np.full((3, 2), 0.5), tau=0.0)
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tau_rejected(self, tau):
+        with pytest.raises(ConfigError, match="tau"):
+            snd_score(np.full((3, 2), 0.5), tau=tau)
+
+    @staticmethod
+    def snd_per_block_size(P):
+        """snd_score under query blocks of 1 (raised to 2), 7 and n rows;
+        one block of n rows is the n x n arithmetic."""
+        out = []
+        for block in (1, 7, P.shape[0]):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(numerics, "_BLOCK_ROWS", block)
+                out.append(snd_score(P))
+        return out
+
+    @given(st.integers(2, 300), st.integers(4, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_row_blocks_do_not_change_a_bit(self, n, c, seed):
+        # every row has one or four equal entries, so the normalized rows
+        # hold 0, 0.5 or 1 and their products are exact in any summation
+        # order; the result then depends on the block bookkeeping alone
+        rng = np.random.default_rng(seed)
+        P = np.zeros((n, c))
+        for row in P:
+            hot = rng.choice(c, size=rng.choice([1, 4]), replace=False)
+            row[hot] = 1.0 / hot.size
+        scores = [s.hex() for s in self.snd_per_block_size(P)]
+        assert scores[0] == scores[1] == scores[2]
+
+    @given(st.integers(2, 300), st.integers(2, 5), st.integers(1, 400),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_row_blocks_agree_on_any_simplex_rows(self, n, c, distinct, seed):
+        # rows drawn from a pool of `distinct` simplex points, so small
+        # pools give exact ties and duplicate rows. BLAS may round the last
+        # bit of a product differently for a row in a call of another row
+        # count, so the scores agree to rounding, not always to the bit.
+        rng = np.random.default_rng(seed)
+        pool = rng.dirichlet(np.full(c, 0.3), size=distinct)
+        P = pool[rng.integers(0, distinct, size=n)]
+        scores = self.snd_per_block_size(P)
+        assert scores[0] == pytest.approx(scores[2], rel=1e-13)
+        assert scores[1] == pytest.approx(scores[2], rel=1e-13)
+
 
 def bank_from(feats, preds):
     n = feats.shape[0]
@@ -141,6 +190,31 @@ class TestAgreementRatios:
         preds = np.full((3, 2), 0.5)
         with pytest.raises(InsufficientDataError):
             agreement_ratios(bank_from(feats, preds), k=3)
+
+
+class TestEpochEvaluationMemory:
+    """At n = 3000 one n x n float64 array is 68.7 MiB; evaluation works
+    in blocks of rows and must stay far below that."""
+
+    N = 3000
+
+    def traced_peak(self, fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_snd_peak_below_16_mib(self):
+        P = np.random.default_rng(0).dirichlet(np.ones(2), size=self.N)
+        assert self.traced_peak(lambda: snd_score(P)) < 16 * 2**20
+
+    def test_agreement_ratios_peak_below_16_mib(self):
+        rng = np.random.default_rng(1)
+        bank = bank_from(rng.normal(size=(self.N, 15)),
+                         rng.dirichlet(np.ones(2), size=self.N))
+        assert self.traced_peak(lambda: agreement_ratios(bank)) < 16 * 2**20
 
 
 class TestOpenSetScores:

@@ -2,7 +2,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sfdalab import numerics
@@ -144,6 +144,17 @@ class TestScratch:
     def test_oversized_request_is_not_pooled(self):
         shape = (SCRATCH_MAX_ENTRIES + 1,)
         assert not np.shares_memory(scratch("test.d", shape), scratch("test.d", shape))
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 128])
+    def test_blocks_tile_the_range_and_never_hold_one_row(self, monkeypatch, block):
+        monkeypatch.setattr(numerics, "_BLOCK_ROWS", block)
+        for n in range(300):
+            blocks = list(numerics.row_blocks(n))
+            assert [i for lo, hi in blocks for i in range(lo, hi)] == list(range(n))
+            assert all(hi - lo >= 2 for lo, hi in blocks) or n == 1
+            assert all(hi - lo <= max(block, 2) + 1 for lo, hi in blocks)
 
 
 class TestSingleBlasThread:

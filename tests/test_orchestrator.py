@@ -68,9 +68,24 @@ class TestAdaptConfig:
         with pytest.raises(ConfigError):
             small_cfg(**kw).validate()
 
+    @pytest.mark.parametrize("kw", [
+        dict(beta=np.nan),
+        dict(beta=-np.inf),
+        dict(lr=np.nan),
+        dict(lr=np.inf),
+        dict(lr=-np.inf),
+        dict(snd_tau=np.nan),
+        dict(snd_tau=np.inf),
+        dict(snd_tau=-np.inf),
+    ])
+    def test_validate_rejects_non_finite(self, kw):
+        with pytest.raises(ConfigError, match=next(iter(kw))):
+            small_cfg(**kw).validate()
+
     def test_valid_config_passes(self):
         small_cfg().validate()
         small_cfg(bank_mode="ring", ring_capacity=40).validate()
+        small_cfg(beta=np.inf).validate()  # the limit of ever faster decay
 
 
 class TestPretrainSource:
@@ -100,6 +115,11 @@ class TestPretrainSource:
         with pytest.raises(ConfigError, match="batch_size"):
             pretrain_source(init_model(2, 8, 8, 2, seed=0), small_moons(), 1, 0.01,
                             batch_size=batch_size)
+
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf, 0.0])
+    def test_rejects_bad_lr(self, lr):
+        with pytest.raises(ConfigError, match="lr"):
+            pretrain_source(init_model(2, 8, 8, 2, seed=0), small_moons(), 1, lr)
 
     def test_rejects_unlabeled_source(self):
         ds = strip_labels(small_moons())
