@@ -5,7 +5,8 @@ sample id), ``ring`` is a bounded buffer where new rows overwrite the
 oldest ones and holds at most one row per sample id: the distinct ids
 among its last ``capacity`` writes, each at its latest write. Retrieval
 is K-nearest-neighbor by cosine similarity with ties broken toward the
-lower sample id, so results are deterministic.
+lower sample id, so results are deterministic; a zero-norm row, or every
+row for a zero-norm query, has a similarity below every cosine.
 """
 
 from __future__ import annotations
@@ -16,6 +17,10 @@ from .errors import ConfigError, InsufficientDataError, InvalidInputError, Shape
 from .numerics import as_matrix, require_simplex_rows, row_blocks, scratch
 
 MODES = ("full", "ring")
+
+# Similarity of a zero-norm row to any query, and of a zero-norm query to
+# any row: below every cosine, so such rows rank last, in id order.
+_FLOOR_SIMILARITY = -2.0
 
 
 class MemoryBank:
@@ -106,9 +111,10 @@ class MemoryBank:
 
         Rows rank by cosine similarity, ties toward the lower sample id;
         zero-norm rows (and every row, for a zero-norm query) have
-        similarity -inf. ``exclude_ids`` gives one sample id per query,
-        and its row is never returned for that query. A bank must hold
-        more than k rows, so at least k are left after the exclusion.
+        similarity -2, below every cosine, so they come last, in id
+        order. ``exclude_ids`` gives one sample id per query, and its row
+        is never returned for that query. A bank must hold more than k
+        rows, so at least k are left after the exclusion.
         """
         if k < 1:
             raise ConfigError("k must be >= 1")
@@ -144,32 +150,23 @@ class MemoryBank:
         # blocks of rows through reused work arrays. argmax returns the
         # first maximum, which is the lowest id among tied candidates, so
         # k rounds of argmax-and-mask yield the exact (-similarity, id)
-        # order. Picks never increase along a row, so a row whose finite
-        # candidates run out shows -inf in its last pick; its remaining
-        # places go to the -inf rows in id order.
+        # order. Zero-norm rows rank at the finite _FLOOR_SIMILARITY and
+        # only excluded and picked rows at -inf, so the more than k rows
+        # besides the excluded one fill all k places.
         order = np.empty((nq, k), dtype=np.int64)
-        picked = np.empty((nq, k))
         for lo, hi in row_blocks(nq):
             sims = np.matmul(Q[lo:hi], cand_feats.T, out=scratch("knn.sims", (hi - lo, n)))
             sims /= np.multiply.outer(query_den[lo:hi], cand_den,
                                       out=scratch("knn.denom", (hi - lo, n)))
-            sims[:, zero_cands] = -np.inf
-            sims[qnorms[lo:hi] == 0.0, :] = -np.inf
+            sims[:, zero_cands] = _FLOOR_SIMILARITY
+            sims[qnorms[lo:hi] == 0.0, :] = _FLOOR_SIMILARITY
             if exclude_ids is not None:
                 rows = hit[np.searchsorted(hit, lo):np.searchsorted(hit, hi)]
                 sims[rows - lo, pos[rows]] = -np.inf
             qrows = np.arange(hi - lo)
             for j in range(k):
                 order[lo:hi, j] = best = np.argmax(sims, axis=1)
-                picked[lo:hi, j] = sims[qrows, best]
                 sims[qrows, best] = -np.inf
-        for r in np.flatnonzero(picked[:, -1] == -np.inf):
-            j = int(np.sum(picked[r] > -np.inf))
-            rest = np.ones(n, dtype=bool)
-            rest[order[r, :j]] = False
-            if exclude_ids is not None:
-                rest &= cand_ids != excl[r]
-            order[r, j:] = np.flatnonzero(rest)[:k - j]
         return order if slots is None else slots[order]
 
     def snapshot(self):

@@ -120,8 +120,6 @@ def agreement_ratios(bank: MemoryBank, labels=None, k: int = RATIO_K):
     the second is None without labels and 0.0 when no sample qualifies.
     """
     sids, feats, preds = bank.snapshot()
-    if sids.shape[0] <= k:
-        raise InsufficientDataError(f"bank holds {sids.shape[0]} samples, need > {k}")
     own = np.argmax(preds, axis=1)
     nbr_slots = bank.knn_slots(feats, k, exclude_ids=sids)
     nbr_labels = np.argmax(bank.predictions, axis=1)[nbr_slots]   # (n, k)

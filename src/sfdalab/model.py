@@ -15,6 +15,7 @@ fixed to 0.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -159,8 +160,8 @@ def backward(model: MlpModel, cache: ForwardCache, dL_dP) -> dict[str, np.ndarra
 
 def sgd_step(model: MlpModel, grads: dict[str, np.ndarray], lr: float, momentum: float) -> MlpModel:
     """In-place heavy-ball update: v <- momentum*v + g; theta <- theta - lr*v."""
-    if lr <= 0:
-        raise ConfigError(f"lr must be > 0, got {lr}")
+    if not (math.isfinite(lr) and lr > 0):
+        raise ConfigError(f"lr must be finite and positive, got {lr!r}")
     if not 0.0 <= momentum < 1.0:
         raise ConfigError(f"momentum must be in [0, 1), got {momentum}")
     params = model.params()

@@ -24,6 +24,7 @@ Gradient conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +60,8 @@ def lambda_schedule(iteration: int, max_iter: int, beta: float) -> float:
 
     Starts at 1 and is non-increasing; beta = 0 disables the decay.
     """
-    if beta < 0:
-        raise ConfigError(f"beta must be >= 0, got {beta}")
+    if not beta >= 0:  # NaN fails every comparison; +inf is a legal limit
+        raise ConfigError(f"beta must be >= 0, got {beta!r}")
     if max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
     if not 0 <= iteration <= max_iter:
@@ -89,8 +90,8 @@ def attract_disperse_loss(P_batch, neighbor_preds, lam: float) -> LossResult:
     bs = P.shape[0]
     if bs < 2:
         raise ShapeError("need a batch of at least 2 for a non-empty background set")
-    if lam < 0:
-        raise ConfigError(f"lambda must be >= 0, got {lam}")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ConfigError(f"lam must be finite and >= 0, got {lam!r}")
 
     nbr_sum = nbr.sum(axis=1)                      # (bs, C)
     attract = -float(np.sum(P * nbr_sum)) / bs
@@ -112,15 +113,19 @@ def _log_z(p_i: np.ndarray, all_preds: np.ndarray) -> float:
     return float(np.log(np.sum(np.exp(all_preds @ p_i))))
 
 
-def _check_nll_args(all_preds, close, background):
+def _check_nll_args(i, all_preds, close, background):
     A = require_simplex_rows(all_preds, tol=1e-6, name="all_preds")
     if A.shape[0] < 2:
         raise ShapeError("need at least 2 stored predictions")
+    if not 0 <= i < A.shape[0]:
+        raise InvalidInputError(f"anchor index {i} outside [0, {A.shape[0]})")
     c = np.asarray(close, dtype=np.int64).ravel()
     b = np.asarray(background, dtype=np.int64).ravel()
     for idx, name in ((c, "close"), (b, "background")):
         if idx.size and (idx.min() < 0 or idx.max() >= A.shape[0]):
             raise InvalidInputError(f"{name} indices out of range")
+    if i in c:
+        raise InvalidInputError("anchor may not appear in its close set")
     return A, c, b
 
 
@@ -130,9 +135,7 @@ def exact_aad_nll(i: int, all_preds, close, background) -> float:
     Selection probabilities are p_ij = exp(p_i.p_j) / sum_k exp(p_i.p_k)
     with the partition running over every stored row.
     """
-    A, c, b = _check_nll_args(all_preds, close, background)
-    if i in c:
-        raise InvalidInputError("anchor may not appear in its close set")
+    A, c, b = _check_nll_args(i, all_preds, close, background)
     p_i = A[i]
     log_z = _log_z(p_i, A)
     dots = A @ p_i
@@ -146,9 +149,7 @@ def jensen_upper_bound(i: int, all_preds, close, background) -> float:
 
     Uses the exact mean over all stored rows, not a batch estimate.
     """
-    A, c, b = _check_nll_args(all_preds, close, background)
-    if i in c:
-        raise InvalidInputError("anchor may not appear in its close set")
+    A, c, b = _check_nll_args(i, all_preds, close, background)
     if not len(c) < len(b):
         raise InvalidInputError("bound requires a close set smaller than the background set")
     p_i = A[i]
@@ -194,12 +195,13 @@ def bnm_loss(P_batch, variant: str = "nuclear") -> LossResult:
     raise ConfigError(f"unknown bnm variant {variant!r}")
 
 
-def nc_loss(P_batch, neighbor_preds, weights=None, g_mode: str = "identity") -> LossResult:
+def nc_loss(P_batch, neighbor_preds, weights=None) -> LossResult:
     """Weighted neighbor-consistency attraction plus a KL diversity term.
 
-    Attraction: -mean_i sum_j g(W_ij * p_i.n_ij) with g identity or log.
-    Diversity: KL(mean prediction || uniform) = sum_c pbar_c ln(C pbar_c).
-    Weights default to 1; their construction is up to the caller.
+    Attraction: -mean_i sum_j W_ij * p_i.n_ij, the dot product AaD's
+    attraction uses. Diversity: KL(mean prediction || uniform)
+    = sum_c pbar_c ln(C pbar_c). Weights default to 1; their construction
+    is up to the caller.
     """
     P = require_simplex_rows(P_batch, tol=SIMPLEX_TOL)
     nbr = _check_neighbors(P, neighbor_preds)
@@ -214,17 +216,8 @@ def nc_loss(P_batch, neighbor_preds, weights=None, g_mode: str = "identity") -> 
             raise InvalidInputError("weights must be positive")
 
     dots = np.einsum("ic,ikc->ik", P, nbr)
-    if g_mode == "identity":
-        attract = -float(np.sum(W * dots)) / bs
-        grad = -np.einsum("ik,ikc->ic", W, nbr) / bs
-    elif g_mode == "log":
-        scaled = W * dots
-        if np.any(scaled <= 0):
-            raise InvalidInputError("log mode requires positive weighted dot products")
-        attract = -float(np.sum(np.log(scaled))) / bs
-        grad = -np.einsum("ik,ikc->ic", 1.0 / dots, nbr) / bs
-    else:
-        raise ConfigError(f"g_mode must be 'identity' or 'log', got {g_mode!r}")
+    attract = -float(np.sum(W * dots)) / bs
+    grad = -np.einsum("ik,ikc->ic", W, nbr) / bs
 
     mean_p = P.mean(axis=0)
     log_term = np.log(np.maximum(mean_p * P.shape[1], LOG_CLAMP))
@@ -242,8 +235,8 @@ def infonce_loss(anchor_feats, positive_feats, negative_feats, tau: float) -> Lo
     Gradient is w.r.t. the anchor features; negatives are shared across
     anchors and may be empty.
     """
-    if tau <= 0:
-        raise ConfigError(f"tau must be > 0, got {tau}")
+    if not (math.isfinite(tau) and tau > 0):
+        raise ConfigError(f"tau must be finite and positive, got {tau!r}")
     A = as_matrix(anchor_feats, "anchor_feats")
     Pos = as_matrix(positive_feats, "positive_feats")
     if Pos.shape != A.shape:

@@ -28,10 +28,10 @@ import numpy as np
 
 from .bank import MemoryBank
 from .datasets import Dataset
-from .errors import ConfigError, InsufficientDataError, InvalidInputError
+from .errors import ConfigError, DivergenceError, InsufficientDataError, InvalidInputError
 from .metrics import EvalReport, agreement_ratios, classification_report, snd_score
 from .model import MlpModel, backward, forward, sgd_step
-from .numerics import single_blas_thread
+from .numerics import as_matrix, single_blas_thread
 from .objectives import (
     attract_disperse_loss,
     bnm_loss,
@@ -144,6 +144,17 @@ class RunHistory:
         Path(path).write_text(self.to_json() + "\n")
 
 
+def _step_error(exc: ValueError, where: str) -> ValueError:
+    """The error to raise for ``exc`` from the training step at ``where``.
+
+    Data and config are checked at entry, so a non-finite value inside a
+    step (``InvalidInputError`` from a kernel's check) means the run
+    diverged and becomes ``DivergenceError``; other errors keep their type.
+    """
+    kind = DivergenceError if isinstance(exc, InvalidInputError) else type(exc)
+    return kind(f"{where}: {exc}")
+
+
 def _minibatches(rng, n: int, bs: int):
     """One epoch: the index arrays of the n // bs full batches of a fresh
     permutation of range(n); the remainder is dropped."""
@@ -157,7 +168,10 @@ def pretrain_source(model: MlpModel, source: Dataset, epochs: int, lr: float,
                     momentum: float = 0.9, seed: int = 0,
                     batch_size: int = 64) -> tuple[MlpModel, EvalReport]:
     """Cross-entropy SGD on labeled source data; the model is updated in
-    place and also returned. Reports final source accuracy."""
+    place and also returned. Reports final source accuracy.
+
+    Errors inside a step are reported as in ``adapt``, with the prefix
+    ``pretrain, epoch e, iteration b``."""
     if epochs < 0:
         raise ConfigError("epochs must be >= 0")
     if not (math.isfinite(lr) and lr > 0):
@@ -166,15 +180,21 @@ def pretrain_source(model: MlpModel, source: Dataset, epochs: int, lr: float,
         raise ConfigError("batch_size must be >= 1")
     if np.any(source.labels < 0):
         raise InvalidInputError("source data must be fully labeled")
+    if np.any(source.labels >= model.n_classes):
+        raise InvalidInputError(f"source labels must be < the model's {model.n_classes} classes")
+    as_matrix(source.X, "source.X")
     bs = min(batch_size, len(source))
     model.reset_velocity()
     rng = np.random.Generator(np.random.PCG64(seed))
-    for _ in range(epochs):
-        for idx in _minibatches(rng, len(source), bs):
-            cache = forward(model, source.X[idx])
-            res = cross_entropy_loss(cache.P, source.labels[idx])
-            grads = backward(model, cache, res.grad)
-            sgd_step(model, grads, lr, momentum)
+    for epoch in range(epochs):
+        for b, idx in enumerate(_minibatches(rng, len(source), bs)):
+            try:
+                cache = forward(model, source.X[idx])
+                res = cross_entropy_loss(cache.P, source.labels[idx])
+                grads = backward(model, cache, res.grad)
+                sgd_step(model, grads, lr, momentum)
+            except ValueError as exc:
+                raise _step_error(exc, f"pretrain, epoch {epoch}, iteration {b}") from exc
     report = classification_report(
         np.argmax(forward(model, source.X).P, axis=1), source.labels, source.num_classes)
     return model, report
@@ -189,11 +209,14 @@ def adapt(model: MlpModel, target: Dataset, cfg: AdaptConfig) -> tuple[MlpModel,
     the schedule value, which objectives without a dispersion term record
     for comparability.
 
-    A ``ValueError`` raised by a step is re-raised with the same type and
-    a prefix naming the objective, the epoch and the iteration within it.
-    The model is not rolled back: it keeps the updates of the steps before
-    the failing one, and ``sgd_step`` may already have updated some of its
-    parameters when it rejects a later gradient.
+    A ``ValueError`` raised by a step is re-raised with a prefix naming
+    the objective, the epoch and the iteration within it. Target data and
+    config are checked at entry, so a non-finite value inside a step is
+    divergence: ``InvalidInputError`` and ``DivergenceError`` are re-raised
+    as ``DivergenceError``, other errors keep their type. The model is not
+    rolled back: it keeps the updates of the steps before the failing one,
+    and ``sgd_step`` may already have updated some of its parameters when
+    it rejects a later gradient.
     """
     cfg.validate()
     n = len(target)
@@ -229,7 +252,7 @@ def adapt(model: MlpModel, target: Dataset, cfg: AdaptConfig) -> tuple[MlpModel,
                 grads = backward(model, cache, res.grad)
                 sgd_step(model, grads, cfg.lr, cfg.momentum)
             except ValueError as exc:
-                raise type(exc)(f"{cfg.objective}, epoch {epoch}, iteration {b}: {exc}") from exc
+                raise _step_error(exc, f"{cfg.objective}, epoch {epoch}, iteration {b}") from exc
             history.loss.append(res.value)
             history.lam.append(lam)
             it += 1

@@ -375,8 +375,8 @@ class TestQueryBlocks:
     @pytest.mark.parametrize("mode", MODES)
     def test_fallback_rows_on_both_sides_of_a_block_edge(self, mode):
         # 20 ids, five of them zero-norm; query rows 6, 7, 13 and 14 are
-        # zero-norm, so they rank every row at -inf and fill their places
-        # in id order. Blocks of 7 end at rows 6 and 13; blocks of 2 (the
+        # zero-norm, so they rank every row at the same floor similarity
+        # and fill their places in id order. Blocks of 7 end at rows 6 and 13; blocks of 2 (the
         # least a block holds) end at row 13.
         rng = np.random.default_rng(3)
         feats = rng.integers(-2, 3, size=(20, 2)).astype(float)

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "sfdalab").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "sfdalab").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,3 +37,78 @@ def test_checker_flags_an_unused_import():
     assert unused_imports("import os\nimport sys\nprint(sys.argv)\n") == ["line 1: os"]
     assert unused_imports("from a import b as c\nc()\n") == []
     assert unused_imports("from __future__ import annotations\n") == []
+
+
+def export_mismatches(source: str) -> list[str]:
+    """Differences between the names a package ``__init__`` imports and
+    the names its ``__all__`` literal lists; ``from __future__`` imports
+    are exempt."""
+    tree = ast.parse(source)
+    imported, listed = set(), set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            listed.update(ast.literal_eval(node.value))
+    return ([f"imported, not in __all__: {name}" for name in sorted(imported - listed)]
+            + [f"in __all__, not imported: {name}" for name in sorted(listed - imported)])
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private names (one leading underscore) that a module
+    of ``sources`` ({module name: source}) binds by assignment, ``def`` or
+    ``class`` and that nothing reads: no load of the bare name in its own
+    module, no attribute access and no import of it in any module."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    elsewhere = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                elsewhere.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                elsewhere.update(alias.name for alias in node.names)
+    unread = []
+    for module, tree in trees.items():
+        bound = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{module}: {name}" for name in sorted(bound)
+                   if name.startswith("_") and not name.startswith("__")
+                   and name not in loaded and name not in elsewhere]
+    return unread
+
+
+def test_init_imports_exactly_all():
+    assert export_mismatches((ROOT / "src" / "sfdalab" / "__init__.py").read_text()) == []
+
+
+def test_no_unread_private_names():
+    assert unread_private_names({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+def test_checker_flags_a_stale_export():
+    assert export_mismatches("from .a import b, c\n__all__ = ['b']\n") == [
+        "imported, not in __all__: c"]
+    assert export_mismatches("from .a import b\n__all__ = ['b', 'd']\n") == [
+        "in __all__, not imported: d"]
+    assert export_mismatches("from __future__ import annotations\n"
+                             "from .a import b\n__all__ = ['b']\n") == []
+
+
+def test_checker_flags_an_unread_private_name():
+    assert unread_private_names({"m": "_A = 1\n_B = 2\nprint(_B)\n"}) == ["m: _A"]
+    assert unread_private_names({"m": "def _f():\n    pass\n"}) == ["m: _f"]
+    # read by another module, by attribute or by import
+    assert unread_private_names({"m": "_A = 1\n", "n": "import m\nm._A\n"}) == []
+    assert unread_private_names({"m": "_A = 1\n", "n": "from m import _A\n"}) == []
+    # bound in a function, dunder, or public: not module-level private names
+    assert unread_private_names({"m": "def f():\n    _x = 1\n__all__ = []\nA = 1\n"}) == []

@@ -191,6 +191,13 @@ class TestSgdStep:
         with pytest.raises(ConfigError):
             sgd_step(m, g, lr=0.1, momentum=1.0)
 
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf])
+    def test_non_finite_lr_rejected(self, lr):
+        m = init_model(1, 2, 2, 2, seed=0)
+        g = {k: np.zeros_like(v) for k, v in m.params().items()}
+        with pytest.raises(ConfigError, match="lr"):
+            sgd_step(m, g, lr=lr, momentum=0.0)
+
     def test_non_finite_grads_rejected(self):
         m = init_model(1, 2, 2, 2, seed=0)
         g = {k: np.zeros_like(v) for k, v in m.params().items()}

@@ -58,6 +58,15 @@ class TestLambdaSchedule:
         with pytest.raises(ConfigError):
             lambda_schedule(101, 100, 1.0)
 
+    @pytest.mark.parametrize("beta", [-np.inf, np.nan])
+    def test_rejects_bad_beta(self, beta):
+        with pytest.raises(ConfigError, match="beta"):
+            lambda_schedule(3, 10, beta)
+
+    def test_infinite_beta_is_the_step_limit(self):
+        assert lambda_schedule(0, 10, np.inf) == 1.0
+        assert lambda_schedule(3, 10, np.inf) == 0.0
+
 
 class TestAttractDisperse:
     def test_one_hot_example(self):
@@ -95,6 +104,12 @@ class TestAttractDisperse:
         lam = float(rng.uniform(0.1, 2.0))
         res = attract_disperse_loss(P, nbr, lam)
         fd_check(lambda v: attract_disperse_loss(v.reshape(bs, c), nbr, lam).value, P, res.grad)
+
+    @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+    def test_rejects_bad_lambda(self, lam):
+        P = np.array([[0.7, 0.3], [0.2, 0.8]])
+        with pytest.raises(ConfigError, match="lam"):
+            attract_disperse_loss(P, np.full((2, 1, 2), 0.5), lam)
 
     def test_row_permutation_consistency(self):
         rng = np.random.default_rng(4)
@@ -181,6 +196,14 @@ class TestExactNll:
         A = np.tile(np.array([0.5, 0.5]), (3, 1))
         with pytest.raises(InvalidInputError):
             exact_aad_nll(0, A, [5], [1])
+
+
+@pytest.mark.parametrize("fn", [exact_aad_nll, jensen_upper_bound])
+@pytest.mark.parametrize("i", [-1, 4])
+def test_anchor_index_outside_range_rejected(fn, i):
+    A = np.full((4, 2), 0.5)
+    with pytest.raises(InvalidInputError, match="anchor index"):
+        fn(i, A, [1], [2, 3])
 
 
 class TestJensenBound:
@@ -296,7 +319,7 @@ class TestNeighborConsistency:
         rng = np.random.default_rng(15)
         P = random_simplex(rng, 5, 3)
         nbr = random_neighbors(rng, 5, 2, 3)
-        nc = nc_loss(P, nbr, weights=None, g_mode="identity")
+        nc = nc_loss(P, nbr, weights=None)
         ref = attract_disperse_loss(P, nbr, lam=0.0)
         assert nc.dis_term == pytest.approx(ref.dis_term, rel=1e-12)
 
@@ -306,15 +329,13 @@ class TestNeighborConsistency:
         res = nc_loss(P, nbr)
         assert res.div_term == pytest.approx(np.log(2.0), rel=1e-10)
 
-    @pytest.mark.parametrize("g_mode", ["identity", "log"])
-    def test_gradient_matches_finite_difference(self, g_mode):
+    def test_gradient_matches_finite_difference(self):
         rng = np.random.default_rng(16)
         P = random_simplex(rng, 5, 3)
         nbr = random_neighbors(rng, 5, 2, 3)
         W = rng.uniform(0.5, 1.5, size=(5, 2))
-        res = nc_loss(P, nbr, weights=W, g_mode=g_mode)
-        fd_check(lambda v: nc_loss(v.reshape(5, 3), nbr, weights=W, g_mode=g_mode).value,
-                 P, res.grad)
+        res = nc_loss(P, nbr, weights=W)
+        fd_check(lambda v: nc_loss(v.reshape(5, 3), nbr, weights=W).value, P, res.grad)
 
     def test_weight_validation(self):
         P = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -323,16 +344,6 @@ class TestNeighborConsistency:
             nc_loss(P, nbr, weights=np.ones((2, 3)))
         with pytest.raises(InvalidInputError):
             nc_loss(P, nbr, weights=np.zeros((2, 1)))
-        with pytest.raises(ConfigError):
-            nc_loss(P, nbr, g_mode="exp")
-
-    def test_log_mode_requires_positive_dots(self):
-        P = np.array([[1.0, 0.0], [0.0, 1.0]])
-        nbr = np.zeros((2, 1, 2))
-        nbr[0, 0] = [0.0, 1.0]  # orthogonal to its anchor: dot = 0
-        nbr[1, 0] = [0.0, 1.0]
-        with pytest.raises(InvalidInputError):
-            nc_loss(P, nbr, g_mode="log")
 
 
 class TestInfoNce:
@@ -370,6 +381,12 @@ class TestInfoNce:
         A = np.array([[1.0, 0.0]])
         with pytest.raises(ConfigError):
             infonce_loss(A, A.copy(), np.zeros((0, 2)), tau=0.0)
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_tau(self, tau):
+        A = np.array([[1.0, 0.0]])
+        with pytest.raises(ConfigError, match="tau"):
+            infonce_loss(A, A.copy(), np.zeros((0, 2)), tau=tau)
 
 
 class TestCrossEntropy:

@@ -8,7 +8,7 @@ import pytest
 from sfdalab import numerics
 from sfdalab.bank import MemoryBank
 from sfdalab.datasets import Dataset, MoonsConfig, make_twin_moons, rotate_dataset
-from sfdalab.errors import ConfigError, InvalidInputError
+from sfdalab.errors import ConfigError, DivergenceError, InvalidInputError, ShapeError
 from sfdalab.model import get_flat_params, init_model
 from sfdalab.orchestrator import (
     OBJECTIVES,
@@ -126,6 +126,26 @@ class TestPretrainSource:
         with pytest.raises(InvalidInputError):
             pretrain_source(init_model(2, 8, 8, 2, seed=0), ds, 1, 0.01)
 
+    def test_divergence_names_epoch_and_iteration(self):
+        with pytest.raises(DivergenceError, match=r"pretrain, epoch 0, iteration \d+: "):
+            pretrain_source(init_model(2, 8, 8, 2, seed=0), small_moons(), 1, 1e300)
+
+    def test_non_finite_data_is_bad_input(self):
+        ds = small_moons()
+        ds.X[3, 0] = np.nan
+        with pytest.raises(InvalidInputError, match="source.X"):
+            pretrain_source(init_model(2, 8, 8, 2, seed=0), ds, 1, 0.01)
+
+    def test_label_beyond_model_classes_is_bad_input(self):
+        ds = small_moons()
+        ds = Dataset(X=ds.X, labels=np.where(ds.labels == 1, 2, 0), num_classes=3)
+        with pytest.raises(InvalidInputError, match="classes"):
+            pretrain_source(init_model(2, 8, 8, 2, seed=0), ds, 1, 0.01)
+
+    def test_other_step_errors_keep_their_type(self):
+        with pytest.raises(ShapeError, match=r"pretrain, epoch 0, iteration 0: "):
+            pretrain_source(init_model(3, 8, 8, 2, seed=0), small_moons(), 1, 0.01)
+
 
 def pretrained(seed=0, n=80):
     src = small_moons(seed=seed, n=n)
@@ -198,7 +218,7 @@ class TestAdapt:
 
     def test_step_error_names_objective_epoch_and_iteration(self):
         model, tgt = pretrained()
-        with pytest.raises(InvalidInputError, match=r"AaD, epoch 0, iteration \d+: "):
+        with pytest.raises(DivergenceError, match=r"AaD, epoch 0, iteration \d+: "):
             adapt(model, tgt, small_cfg(epochs=1, lr=1e300))
 
     def test_adaptation_improves_target_accuracy(self):
