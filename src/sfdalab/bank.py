@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, InsufficientDataError, InvalidInputError, ShapeError
-from .numerics import as_matrix, require_simplex_rows, row_blocks, scratch
+from .numerics import as_matrix, require_simplex_rows, rescaled_rows, row_blocks, scratch
 
 MODES = ("full", "ring")
 
@@ -114,7 +114,9 @@ class MemoryBank:
         similarity -2, below every cosine, so they come last, in id
         order. ``exclude_ids`` gives one sample id per query, and its row
         is never returned for that query. A bank must hold more than k
-        rows, so at least k are left after the exclusion.
+        rows, so at least k are left after the exclusion. Rows with tiny
+        or huge entries are rescaled first (``numerics.rescaled_rows``),
+        so their cosines neither underflow nor overflow.
         """
         if k < 1:
             raise ConfigError("k must be >= 1")
@@ -131,8 +133,8 @@ class MemoryBank:
             cand_ids, cand_feats = self.sample_ids[slots], self.features[slots]
         nq, n = Q.shape[0], cand_ids.size
 
-        norms = np.linalg.norm(cand_feats, axis=1)
-        qnorms = np.linalg.norm(Q, axis=1)
+        cand_feats, norms = rescaled_rows(cand_feats)
+        Q, qnorms = rescaled_rows(Q)
         cand_den = np.where(norms > 0, norms, 1.0)
         query_den = np.where(qnorms > 0, qnorms, 1.0)
         zero_cands = norms == 0.0

@@ -2,8 +2,13 @@
 
 Subcommands: pretrain, adapt, sweep, eval, boundary. Every subcommand
 accepts ``--config FILE`` pointing at a JSON object whose keys match the
-long flag names (underscored); explicit flags override config values,
-which override built-in defaults.
+long flag names (underscored). An explicit flag overrides the config
+value, which overrides the default; a JSON ``null`` counts as not set.
+The CLI passes the library only the values it was given, so defaults
+come from ``AdaptConfig``, ``MoonsConfig`` and ``pretrain_source``
+themselves; ``cli.py`` keeps only its own (model widths, pretraining
+epochs and learning rate, the sweep's betas and seed count, the
+boundary plot's bounds).
 
 Datasets are given either as a CSV path or as a moons spec:
 ``moons`` or ``moons:rot=30,n=300,sigma=0.1,seed=0,unknown=0``.
@@ -16,6 +21,7 @@ import json
 import sys
 from pathlib import Path
 
+from .bank import MODES
 from .datasets import (
     Dataset,
     MoonsConfig,
@@ -35,31 +41,44 @@ from .orchestrator import (
     sweep_beta,
 )
 
-_MOON_KEYS = ("rot", "n", "sigma", "seed", "unknown")
+# moons spec key -> (keyword, type): the MoonsConfig fields, and the size
+# of the open-set blob that make_open_set_variant appends
+_MOON_KEYS = {
+    "rot": ("rotation_deg", float),
+    "n": ("n_per_class", int),
+    "sigma": ("noise_sigma", float),
+    "seed": ("seed", int),
+    "unknown": ("n_unknown", int),
+}
 
 
 def parse_data_spec(spec: str, domain: str = "source") -> Dataset:
     """Either a path to a dataset CSV or a moons generator spec."""
     if not spec.startswith("moons"):
         return load_csv_dataset(spec, domain=domain)
-    params = {"rot": 0.0, "n": 300, "sigma": 0.1, "seed": 0, "unknown": 0}
-    if spec != "moons":
-        if not spec.startswith("moons:"):
-            raise ParseError(f"bad data spec {spec!r}")
-        for part in spec[len("moons:"):].split(","):
-            if "=" not in part:
-                raise ParseError(f"bad moons parameter {part!r}")
-            key, value = part.split("=", 1)
-            if key not in _MOON_KEYS:
-                raise ParseError(f"unknown moons parameter {key!r}")
-            try:
-                params[key] = int(value) if key in ("n", "seed", "unknown") else float(value)
-            except ValueError:
-                raise ParseError(f"bad moons parameter {part!r}") from None
-    ds = make_twin_moons(MoonsConfig(n_per_class=params["n"], noise_sigma=params["sigma"],
-                                     rotation_deg=params["rot"], seed=params["seed"]))
-    if params["unknown"]:
-        ds = make_open_set_variant(ds, params["unknown"], seed=params["seed"] + 1)
+    if spec == "moons":
+        parts = []
+    elif spec.startswith("moons:"):
+        parts = spec[len("moons:"):].split(",")
+    else:
+        raise ParseError(f"bad data spec {spec!r}")
+    params = {}
+    for part in parts:
+        key, eq, value = part.partition("=")
+        if not eq:
+            raise ParseError(f"bad moons parameter {part!r}")
+        if key not in _MOON_KEYS:
+            raise ParseError(f"unknown moons parameter {key!r}")
+        name, kind = _MOON_KEYS[key]
+        try:
+            params[name] = kind(value)
+        except ValueError:
+            raise ParseError(f"bad moons parameter {part!r}") from None
+    n_unknown = params.pop("n_unknown", 0)
+    cfg = MoonsConfig(**params)
+    ds = make_twin_moons(cfg)
+    if n_unknown:
+        ds = make_open_set_variant(ds, n_unknown, seed=cfg.seed + 1)
     return ds
 
 
@@ -72,130 +91,72 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _resolve(args, config: dict, key: str, default):
-    """Flag value if given, else config value, else the built-in default.
-    Subcommands that lack a flag entirely fall through the same way."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
+def _pick(given: dict, names) -> dict:
+    """The values among ``names`` that flags or the config gave, as
+    keyword arguments; a name left out keeps the callee's default."""
+    return {name: given[name] for name in names if name in given}
 
 
-def _add_common(sub):
-    sub.add_argument("--config", default=None, help="JSON config file; flags override")
-    sub.add_argument("--seed", type=int, default=None)
+# Every flag, once, by destination: its argparse keywords. No flag has a
+# default, so an omitted flag reads None and the config or the library
+# decides. ``--out`` takes its help from the subcommand table.
+_FLAGS = {
+    "data": dict(help="dataset (csv path or moons spec)"),
+    "target": dict(help="target dataset (csv path or moons spec)"),
+    "ckpt": dict(help="checkpoint to read"),
+    "out": {},
+    "out_history": dict(help="write the run history JSON here"),
+    "epochs": dict(type=int),
+    "batch_size": dict(type=int),
+    "lr": dict(type=float),
+    "momentum": dict(type=float),
+    "hidden1": dict(type=int),
+    "hidden_feat": dict(type=int),
+    "k": dict(type=int),
+    "beta": dict(type=float),
+    "objective": dict(choices=OBJECTIVES),
+    "bank_mode": dict(choices=MODES),
+    "ring_capacity": dict(type=int),
+    "betas": dict(help="comma-separated, e.g. 0,1,2,5"),
+    "seeds": dict(type=int, help="number of seeds (0..n-1)"),
+    "tau": dict(type=float, help="SND temperature"),
+    "x_min": dict(type=float),
+    "x_max": dict(type=float),
+    "y_min": dict(type=float),
+    "y_max": dict(type=float),
+    "resolution": dict(type=int),
+    "config": dict(help="JSON config file; flags override"),
+    "seed": dict(type=int),
+}
+_TRAINING = ("epochs", "batch_size", "lr", "momentum")
+_ADAPT = ("k", "beta", "objective", "bank_mode", "ring_capacity", *_TRAINING)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sfdalab",
-        description="Source-free domain adaptation by neighborhood attraction and dispersion.")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("pretrain", help="train a source model with cross-entropy")
-    p.add_argument("--data", required=True, help="source dataset (csv path or moons spec)")
-    p.add_argument("--out", required=True, help="checkpoint path to write")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--momentum", type=float, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--hidden1", type=int, default=None)
-    p.add_argument("--hidden-feat", dest="hidden_feat", type=int, default=None)
-    _add_common(p)
-
-    p = subs.add_parser("adapt", help="adapt a pretrained model to unlabeled target data")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--target", required=True, help="target dataset (csv path or moons spec)")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--objective", choices=OBJECTIVES, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--momentum", type=float, default=None)
-    p.add_argument("--bank-mode", dest="bank_mode", choices=("full", "ring"), default=None)
-    p.add_argument("--ring-capacity", dest="ring_capacity", type=int, default=None)
-    p.add_argument("--out-history", dest="out_history", default=None)
-    p.add_argument("--out", default=None, help="write the adapted checkpoint here")
-    _add_common(p)
-
-    p = subs.add_parser("sweep", help="sweep the decay exponent and pick by SND")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--betas", default=None, help="comma-separated, e.g. 0,1,2,5")
-    p.add_argument("--seeds", type=int, default=None, help="number of seeds (0..n-1)")
-    p.add_argument("--out", required=True, help="summary CSV path")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--momentum", type=float, default=None)
-    _add_common(p)
-
-    p = subs.add_parser("eval", help="score a checkpoint on a dataset")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", default=None, help="report JSON path")
-    p.add_argument("--tau", type=float, default=None, help="SND temperature")
-    _add_common(p)
-
-    p = subs.add_parser("boundary", help="export a decision-boundary grid as CSV")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--x-min", dest="x_min", type=float, default=None)
-    p.add_argument("--x-max", dest="x_max", type=float, default=None)
-    p.add_argument("--y-min", dest="y_min", type=float, default=None)
-    p.add_argument("--y-max", dest="y_max", type=float, default=None)
-    p.add_argument("--resolution", type=int, default=None)
-    _add_common(p)
-    return parser
+def _adapt_config(given: dict) -> AdaptConfig:
+    """The flag and config values of every AdaptConfig field but snd_tau;
+    the fields not given keep their defaults."""
+    return AdaptConfig(**_pick(given, (*_ADAPT, "seed")))
 
 
-def cmd_pretrain(args) -> int:
-    config = _load_config(args.config)
+def _fmt(value) -> str:
+    return "n/a" if value is None else f"{value:.4f}"
+
+
+def cmd_pretrain(args, given: dict) -> int:
     data = parse_data_spec(args.data, domain="source")
-    model = init_model(
-        d_in=data.dim,
-        h1=_resolve(args, config, "hidden1", 15),
-        h_feat=_resolve(args, config, "hidden_feat", 15),
-        n_classes=max(data.num_classes, 2),
-        seed=_resolve(args, config, "seed", 0),
-    )
-    model, report = pretrain_source(
-        model, data,
-        epochs=_resolve(args, config, "epochs", 200),
-        lr=_resolve(args, config, "lr", 0.01),
-        momentum=_resolve(args, config, "momentum", 0.9),
-        seed=_resolve(args, config, "seed", 0),
-        batch_size=_resolve(args, config, "batch_size", 64),
-    )
+    model = init_model(data.dim, given.get("hidden1", 15), given.get("hidden_feat", 15),
+                       max(data.num_classes, 2), **_pick(given, ("seed",)))
+    model, report = pretrain_source(model, data, given.get("epochs", 200), given.get("lr", 0.01),
+                                    **_pick(given, ("momentum", "seed", "batch_size")))
     save_checkpoint(model, args.out)
     print(f"source accuracy {report.accuracy:.4f}, checkpoint -> {args.out}")
     return 0
 
 
-def _adapt_config(args, config: dict) -> AdaptConfig:
-    return AdaptConfig(
-        k=_resolve(args, config, "k", 4),
-        beta=_resolve(args, config, "beta", 0.25),
-        batch_size=_resolve(args, config, "batch_size", 64),
-        epochs=_resolve(args, config, "epochs", 300),
-        lr=_resolve(args, config, "lr", 0.005),
-        momentum=_resolve(args, config, "momentum", 0.7),
-        bank_mode=_resolve(args, config, "bank_mode", "full"),
-        ring_capacity=_resolve(args, config, "ring_capacity", 0),
-        seed=_resolve(args, config, "seed", 0),
-        objective=_resolve(args, config, "objective", "AaD"),
-    )
-
-
-def cmd_adapt(args) -> int:
-    config = _load_config(args.config)
+def cmd_adapt(args, given: dict) -> int:
     model = load_checkpoint(args.ckpt)
     target = parse_data_spec(args.target, domain="target")
-    cfg = _adapt_config(args, config)
+    cfg = _adapt_config(given)
     model, history = adapt(model, target, cfg)
     if args.out:
         save_checkpoint(model, args.out)
@@ -204,17 +165,14 @@ def cmd_adapt(args) -> int:
         history.save(args.out_history)
     acc = history.acc[-1] if history.acc else None
     snd = history.snd[-1] if history.snd else None
-    acc_txt = "n/a" if acc is None else f"{acc:.4f}"
-    snd_txt = "n/a" if snd is None else f"{snd:.4f}"
-    print(f"adapted with {cfg.objective}: final accuracy {acc_txt}, SND {snd_txt}")
+    print(f"adapted with {cfg.objective}: final accuracy {_fmt(acc)}, SND {_fmt(snd)}")
     return 0
 
 
-def cmd_sweep(args) -> int:
-    config = _load_config(args.config)
+def cmd_sweep(args, given: dict) -> int:
     model = load_checkpoint(args.ckpt)
     target = parse_data_spec(args.target, domain="target")
-    betas_raw = _resolve(args, config, "betas", "0,1,2,5")
+    betas_raw = given.get("betas", "0,1,2,5")
     if isinstance(betas_raw, str):
         betas_raw = [b for b in betas_raw.split(",") if b.strip()]
     betas = []
@@ -223,53 +181,75 @@ def cmd_sweep(args) -> int:
             betas.append(float(b))
         except (TypeError, ValueError):
             raise ParseError(f"bad beta {b!r}") from None
-    n_seeds = _resolve(args, config, "seeds", 3)
-    base = _adapt_config(args, config)
-    _, table = sweep_beta(model, target, betas, base, seeds=range(n_seeds))
+    _, table = sweep_beta(model, target, betas, _adapt_config(given),
+                          seeds=range(given.get("seeds", 3)))
     save_sweep_csv(args.out, table)
     for row in table:
         flag = "  <- selected by SND" if row["selected"] else ""
-        acc_txt = "n/a" if row["acc"] is None else f"{row['acc']:.4f}"
-        print(f"beta={row['beta']:g}  snd={row['snd']:.4f}  acc={acc_txt}{flag}")
+        print(f"beta={row['beta']:g}  snd={row['snd']:.4f}  acc={_fmt(row['acc'])}{flag}")
     return 0
 
 
-def cmd_eval(args) -> int:
-    config = _load_config(args.config)
+def cmd_eval(args, given: dict) -> int:
     model = load_checkpoint(args.ckpt)
     data = parse_data_spec(args.data, domain="target")
     report = build_report(model, data.X, data.labels, max(data.num_classes, model.n_classes),
-                          tau=_resolve(args, config, "tau", 0.05))
+                          **_pick(given, ("tau",)))
     if args.out:
         write_report_json(args.out, report)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
 
-def cmd_boundary(args) -> int:
-    config = _load_config(args.config)
+def cmd_boundary(args, given: dict) -> int:
     model = load_checkpoint(args.ckpt)
-    x_range = (_resolve(args, config, "x_min", -1.5), _resolve(args, config, "x_max", 2.5))
-    y_range = (_resolve(args, config, "y_min", -1.5), _resolve(args, config, "y_max", 2.0))
-    xs, ys, labels = decision_grid(model, x_range, y_range,
-                                   resolution=_resolve(args, config, "resolution", 101))
+    x_range = (given.get("x_min", -1.5), given.get("x_max", 2.5))
+    y_range = (given.get("y_min", -1.5), given.get("y_max", 2.0))
+    xs, ys, labels = decision_grid(model, x_range, y_range, **_pick(given, ("resolution",)))
     save_grid_csv(args.out, xs, ys, labels)
     print(f"wrote {labels.size} grid labels -> {args.out}")
     return 0
 
 
-_COMMANDS = {
-    "pretrain": cmd_pretrain,
-    "adapt": cmd_adapt,
-    "sweep": cmd_sweep,
-    "eval": cmd_eval,
-    "boundary": cmd_boundary,
+# name -> (command, help, required flags, optional flags, help of --out);
+# every subcommand also takes --config and --seed
+_SUBCOMMANDS = {
+    "pretrain": (cmd_pretrain, "train a source model with cross-entropy",
+                 ("data", "out"), (*_TRAINING, "hidden1", "hidden_feat"),
+                 "checkpoint path to write"),
+    "adapt": (cmd_adapt, "adapt a pretrained model to unlabeled target data",
+              ("ckpt", "target"), (*_ADAPT, "out_history", "out"),
+              "write the adapted checkpoint here"),
+    "sweep": (cmd_sweep, "sweep the decay exponent and pick by SND",
+              ("ckpt", "target", "out"), ("betas", "seeds", "k", *_TRAINING),
+              "summary CSV path"),
+    "eval": (cmd_eval, "score a checkpoint on a dataset",
+             ("ckpt", "data"), ("out", "tau"), "report JSON path"),
+    "boundary": (cmd_boundary, "export a decision-boundary grid as CSV",
+                 ("ckpt", "out"), ("x_min", "x_max", "y_min", "y_max", "resolution"),
+                 "grid CSV path"),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="sfdalab",
+        description="Source-free domain adaptation by neighborhood attraction and dispersion.")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_, required, optional, out_help) in _SUBCOMMANDS.items():
+        p = subs.add_parser(name, help=help_)
+        for dest in (*required, *optional, "config", "seed"):
+            kwargs = dict(_FLAGS[dest], help=out_help) if dest == "out" else _FLAGS[dest]
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest,
+                           required=dest in required, **kwargs)
+    return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    given = {k: v for k, v in _load_config(args.config).items() if v is not None}
+    given.update((k, v) for k, v in vars(args).items() if v is not None)
+    return _SUBCOMMANDS[args.command][0](args, given)
 
 
 if __name__ == "__main__":

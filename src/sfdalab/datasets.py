@@ -9,6 +9,7 @@ digits), so save -> load reproduces every value exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,7 +35,7 @@ class Dataset:
             raise ShapeError("X must be a non-empty 2-D array")
         if self.labels.shape != (self.X.shape[0],):
             raise ShapeError("labels must supply one entry per sample")
-        if np.any(self.labels >= self.num_classes):
+        if np.any((self.labels < -1) | (self.labels >= self.num_classes)):
             raise ShapeError("labels must be < num_classes (or -1)")
 
     def __len__(self) -> int:
@@ -64,8 +65,12 @@ def make_twin_moons(cfg: MoonsConfig) -> Dataset:
     """
     if cfg.n_per_class < 1:
         raise ShapeError("n_per_class must be >= 1")
-    if cfg.noise_sigma < 0:
-        raise ShapeError("noise_sigma must be >= 0")
+    if not (math.isfinite(cfg.noise_sigma) and cfg.noise_sigma >= 0):
+        raise ShapeError(f"noise_sigma must be finite and >= 0, got {cfg.noise_sigma!r}")
+    if not math.isfinite(cfg.rotation_deg):
+        raise ShapeError(f"rotation_deg must be finite, got {cfg.rotation_deg!r}")
+    if cfg.seed < 0:
+        raise ShapeError(f"seed must be >= 0, got {cfg.seed}")
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     n = cfg.n_per_class
     t0 = rng.uniform(0.0, np.pi, n)
@@ -79,6 +84,8 @@ def make_twin_moons(cfg: MoonsConfig) -> Dataset:
     ds = Dataset(X=X, labels=labels, domain=SOURCE, num_classes=2)
     if cfg.rotation_deg != 0.0:
         ds = rotate_dataset(ds, cfg.rotation_deg)
+    if not np.all(np.isfinite(ds.X)):
+        raise ShapeError(f"noise_sigma {cfg.noise_sigma!r} puts points beyond the float range")
     return ds
 
 
@@ -102,9 +109,10 @@ def make_open_set_variant(ds: Dataset, n_unknown: int, seed: int = 0) -> Dataset
     labels -1) well clear of both moons."""
     if ds.dim != 2:
         raise ShapeError("open-set variant is defined for 2-D data only")
-    if n_unknown == 0:
-        return Dataset(X=ds.X.copy(), labels=ds.labels.copy(),
-                       domain=ds.domain, num_classes=ds.num_classes)
+    if n_unknown < 0:
+        raise ShapeError(f"n_unknown must be >= 0, got {n_unknown}")
+    if seed < 0:
+        raise ShapeError(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     blob = rng.normal(0.0, 0.1, size=(n_unknown, 2)) + np.array([0.5, -1.5])
     X = np.vstack([ds.X, blob])
@@ -130,18 +138,25 @@ def load_csv_dataset(path, domain: str = SOURCE) -> Dataset:
     header = _parse_header(lines[0])
     d, has_labels = header["d"], header["labels"]
     expect = d + (1 if has_labels else 0)
-    X = np.empty((len(lines) - 1, d))
-    labels = np.full(len(lines) - 1, -1, dtype=np.int64)
-    for i, line in enumerate(lines[1:]):
-        cells = line.split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    if not rows:
+        raise ParseError("dataset file holds no samples")
+    # cell counts first: the header's width alone must not size an allocation
+    for i, cells in enumerate(rows):
         if len(cells) != expect:
             raise ParseError(f"row {i + 1}: expected {expect} cells, got {len(cells)}")
+    X = np.empty((len(rows), d))
+    labels = np.full(len(rows), -1, dtype=np.int64)
+    for i, cells in enumerate(rows):
         try:
             X[i] = [float(c) for c in cells[:d]]
             if has_labels:
                 labels[i] = int(cells[d])
-        except ValueError as exc:
-            raise ParseError(f"row {i + 1}: non-numeric cell ({exc})") from None
+        except (ValueError, OverflowError) as exc:
+            raise ParseError(f"row {i + 1}: bad cell ({exc})") from None
+    nonfinite = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if nonfinite.size:
+        raise ParseError(f"row {nonfinite[0] + 1}: non-finite value")
     num_classes = int(labels.max()) + 1 if np.any(labels >= 0) else 0
     return Dataset(X=X, labels=labels, domain=domain, num_classes=num_classes)
 

@@ -111,9 +111,9 @@ def snd_score(P_target, tau: float = SND_TAU) -> float:
     return float(ent.mean())
 
 
-def agreement_ratios(bank: MemoryBank, labels=None, k: int = RATIO_K):
-    """Fraction of stored samples whose k nearest neighbors all share the
-    sample's own predicted label, and (when true labels are given) the
+def agreement_ratios(bank: MemoryBank, labels=None):
+    """Fraction of stored samples whose RATIO_K nearest neighbors all share
+    the sample's own predicted label, and (when true labels are given) the
     fraction of those whose shared label is also correct.
 
     ``labels`` is indexed by sample id. Returns (same_ratio, correct_ratio);
@@ -121,8 +121,8 @@ def agreement_ratios(bank: MemoryBank, labels=None, k: int = RATIO_K):
     """
     sids, feats, preds = bank.snapshot()
     own = np.argmax(preds, axis=1)
-    nbr_slots = bank.knn_slots(feats, k, exclude_ids=sids)
-    nbr_labels = np.argmax(bank.predictions, axis=1)[nbr_slots]   # (n, k)
+    nbr_slots = bank.knn_slots(feats, RATIO_K, exclude_ids=sids)
+    nbr_labels = np.argmax(bank.predictions, axis=1)[nbr_slots]   # (n, RATIO_K)
     same = np.all(nbr_labels == own[:, None], axis=1)
     same_ratio = float(np.mean(same))
     if labels is None:

@@ -188,25 +188,35 @@ def softmax_rows(logits) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def rescaled_rows(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, norms): ``M`` with each row whose squared norm leaves the
+    normal float range (a norm below 1.5e-154, or one that overflows)
+    divided by its largest magnitude, and the Euclidean norm of every row
+    of the result.
+
+    Scaling a row leaves its direction, and so every cosine, unchanged;
+    zero rows stay zero. ``M`` itself is returned when every row is in
+    range, otherwise a copy.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(M, axis=1)
+    bad = np.flatnonzero((norms < _MIN_SAFE_NORM) | (norms == np.inf))
+    if bad.size:
+        M = M.copy()
+        peak = np.abs(M[bad]).max(axis=1, keepdims=True, initial=0.0)
+        M[bad] /= np.where(peak > 0.0, peak, 1.0)
+        norms[bad] = np.linalg.norm(M[bad], axis=1)
+    return M, norms
+
+
 def l2_normalize_rows(M) -> np.ndarray:
     """Scale each row to unit Euclidean norm; zero rows pass through unchanged.
 
-    A row whose squared norm leaves the normal float range (entries near
-    1e-162 or 1e154) is divided by its largest magnitude first; every other
-    row is divided by its norm directly.
+    Rows are rescaled first as in ``rescaled_rows``, so a row with tiny or
+    huge entries is normalized without underflow or overflow.
     """
-    M = as_matrix(M)
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(M, axis=1, keepdims=True)
-    out = M / np.where(norms > 0.0, norms, 1.0)
-    bad = np.flatnonzero((norms[:, 0] < _MIN_SAFE_NORM) | (norms[:, 0] == np.inf))
-    if bad.size:
-        rows = M[bad]
-        peak = np.abs(rows).max(axis=1, keepdims=True)
-        rows /= np.where(peak > 0.0, peak, 1.0)
-        norms = np.linalg.norm(rows, axis=1, keepdims=True)
-        out[bad] = rows / np.where(norms > 0.0, norms, 1.0)
-    return out
+    rows, norms = rescaled_rows(as_matrix(M))
+    return rows / np.where(norms > 0.0, norms, 1.0)[:, None]
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x, h: float = 1e-5) -> np.ndarray:

@@ -26,10 +26,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bank import MemoryBank
+from .bank import MODES, MemoryBank
 from .datasets import Dataset
 from .errors import ConfigError, DivergenceError, InsufficientDataError, InvalidInputError
-from .metrics import EvalReport, agreement_ratios, classification_report, snd_score
+from .metrics import SND_TAU, EvalReport, agreement_ratios, classification_report, snd_score
 from .model import MlpModel, backward, forward, sgd_step
 from .numerics import as_matrix, single_blas_thread
 from .objectives import (
@@ -79,7 +79,7 @@ class AdaptConfig:
     ring_capacity: int = 0       # ignored unless bank_mode == "ring"
     seed: int = 0
     objective: str = "AaD"
-    snd_tau: float = 0.05
+    snd_tau: float = SND_TAU
 
     def __post_init__(self):
         self.objective = canonical_objective(self.objective)
@@ -97,7 +97,7 @@ class AdaptConfig:
             raise ConfigError(f"lr must be finite and positive, got {self.lr!r}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must be in [0, 1)")
-        if self.bank_mode not in ("full", "ring"):
+        if self.bank_mode not in MODES:
             raise ConfigError(f"unknown bank_mode {self.bank_mode!r}")
         if self.bank_mode == "ring" and self.ring_capacity <= self.k:
             raise ConfigError("ring_capacity must exceed k")

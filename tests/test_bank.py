@@ -180,6 +180,16 @@ class TestKnn:
         ids2 = b2.knn_batch([5.0 * q], k=4)[0][0]
         np.testing.assert_array_equal(ids1, ids2)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-170])
+    def test_ranks_by_cosine_when_norms_leave_the_float_range(self, scale):
+        # the squared norms overflow (1e400) or underflow (1e-340); rescaled
+        # rows keep their cosines, so the ranking equals the one at scale 1
+        feats = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [1.0, 0.1]])
+        b = MemoryBank("full", 4, 2, 2)
+        b.update(np.arange(4), feats * scale, uniform_preds(4))
+        queries = np.array([[1.0, 0.0], [scale, 0.0], [0.0, scale]])
+        np.testing.assert_array_equal(b.knn_slots(queries, 2), [[0, 3], [0, 3], [1, 3]])
+
     def test_matches_brute_force_random(self):
         rng = np.random.Generator(np.random.PCG64(17))
         for _ in range(30):

@@ -1,13 +1,24 @@
-"""End-to-end runs of each CLI subcommand on tiny datasets."""
+"""End-to-end runs of each CLI subcommand on tiny datasets, and the
+CLI's surface: its flags, its defaults and their precedence."""
 
+import inspect
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sfdalab import cli, errors
 from sfdalab.cli import build_parser, main, parse_data_spec
+from sfdalab.datasets import MoonsConfig, make_twin_moons
 from sfdalab.errors import ConfigError, ParseError
+from sfdalab.metrics import SND_TAU
 from sfdalab.model import load_checkpoint
+from sfdalab.orchestrator import AdaptConfig, RunHistory, pretrain_source
+
+PACKAGE_ERRORS = tuple(v for v in vars(errors).values()
+                       if isinstance(v, type) and issubclass(v, Exception))
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +58,45 @@ class TestParseDataSpec:
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(ParseError):
             parse_data_spec(spec)
+
+    def test_plain_moons_is_the_library_default(self):
+        ds, want = parse_data_spec("moons"), make_twin_moons(MoonsConfig())
+        assert np.array_equal(ds.X, want.X) and np.array_equal(ds.labels, want.labels)
+        assert ds.domain == want.domain
+
+    def test_each_key_sets_its_moons_config_field(self):
+        ds = parse_data_spec("moons:rot=30,n=20,sigma=0.05,seed=3")
+        want = make_twin_moons(MoonsConfig(n_per_class=20, noise_sigma=0.05,
+                                           rotation_deg=30.0, seed=3))
+        assert np.array_equal(ds.X, want.X)
+
+    @pytest.mark.parametrize("spec", [
+        "moons:unknown=-1", "moons:seed=-1", "moons:sigma=nan", "moons:sigma=inf",
+        "moons:rot=inf", "moons:rot=nan", "moons:sigma=1e308",
+    ])
+    def test_bad_values_raise_a_package_error(self, spec):
+        with pytest.raises(errors.ShapeError):
+            parse_data_spec(spec)
+
+    @given(st.lists(st.one_of(
+        st.tuples(st.sampled_from(["n", "unknown"]),
+                  st.one_of(st.integers(-3, 50).map(str),
+                            st.sampled_from(["", "x", "1.5", "nan", "+7", " 3", "-0"]))),
+        st.tuples(st.sampled_from(["rot", "sigma", "seed"]),
+                  st.one_of(st.floats().map(repr), st.integers().map(str),
+                            st.sampled_from(["nan", "-inf", "1e999", "", "0x1"]))),
+        st.tuples(st.text(alphabet=st.characters(exclude_characters=",="), max_size=6)
+                  .filter(lambda key: key not in ("n", "unknown")),
+                  st.text(alphabet=st.characters(exclude_characters=","), max_size=6)),
+    ), max_size=6).map(lambda parts: "moons:" + ",".join(f"{k}={v}" for k, v in parts)))
+    @settings(max_examples=300, deadline=None)
+    def test_any_moons_spec_gives_finite_data_or_a_package_error(self, spec):
+        # n and unknown stay <= 50, so no example allocates more than 150 rows
+        try:
+            ds = parse_data_spec(spec)
+        except PACKAGE_ERRORS:
+            return
+        assert np.all(np.isfinite(ds.X))
 
 
 class TestPretrainCommand:
@@ -175,3 +225,150 @@ class TestParser:
         subactions = [a for a in parser._actions if a.dest == "command"][0]
         assert set(subactions.choices) == {"pretrain", "adapt", "sweep",
                                            "eval", "boundary"}
+
+
+# The parser's surface, as it was before the flags moved into one table:
+# subcommand -> {option: (type, choices, required)}. No flag has a default.
+OBJECTIVE_CHOICES = ("AaD", "AttractOnly", "DisperseOnly", "AaDNoDecay", "MI", "BNM", "NC")
+COMMON = {"--config": (None, None, False), "--seed": (int, None, False)}
+TRAINING = {"--epochs": (int, None, False), "--lr": (float, None, False),
+            "--momentum": (float, None, False), "--batch-size": (int, None, False)}
+SURFACE = {
+    "pretrain": {"--data": (None, None, True), "--out": (None, None, True), **TRAINING,
+                 "--hidden1": (int, None, False), "--hidden-feat": (int, None, False), **COMMON},
+    "adapt": {"--ckpt": (None, None, True), "--target": (None, None, True),
+              "--k": (int, None, False), "--beta": (float, None, False), **TRAINING,
+              "--objective": (None, OBJECTIVE_CHOICES, False),
+              "--bank-mode": (None, ("full", "ring"), False),
+              "--ring-capacity": (int, None, False), "--out-history": (None, None, False),
+              "--out": (None, None, False), **COMMON},
+    "sweep": {"--ckpt": (None, None, True), "--target": (None, None, True),
+              "--betas": (None, None, False), "--seeds": (int, None, False),
+              "--out": (None, None, True), "--k": (int, None, False), **TRAINING, **COMMON},
+    "eval": {"--ckpt": (None, None, True), "--data": (None, None, True),
+             "--out": (None, None, False), "--tau": (float, None, False), **COMMON},
+    "boundary": {"--ckpt": (None, None, True), "--out": (None, None, True),
+                 "--x-min": (float, None, False), "--x-max": (float, None, False),
+                 "--y-min": (float, None, False), "--y-max": (float, None, False),
+                 "--resolution": (int, None, False), **COMMON},
+}
+
+
+def subparsers():
+    return [a for a in build_parser()._actions if a.dest == "command"][0].choices
+
+
+class TestSurface:
+    @pytest.mark.parametrize("command", sorted(SURFACE))
+    def test_flags_keep_their_strings_types_choices_and_required_ness(self, command):
+        actions = [a for a in subparsers()[command]._actions if a.dest != "help"]
+        seen = {}
+        for a in actions:
+            (option,) = a.option_strings
+            assert a.dest == option[2:].replace("-", "_")
+            assert a.default is None
+            seen[option] = (a.type, None if a.choices is None else tuple(a.choices), a.required)
+        assert seen == SURFACE[command]
+
+    @pytest.mark.parametrize("command", sorted(SURFACE))
+    def test_help_renders(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        out = capsys.readouterr().out
+        assert all(option in out for option in SURFACE[command])
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Stand-ins for the library calls of the subcommands: each records the
+    arguments it got, bound to the real signature with defaults applied."""
+    got = {}
+
+    def record(name, real, result):
+        def stub(*args, **kwargs):
+            bound = inspect.signature(real).bind(*args, **kwargs)
+            bound.apply_defaults()
+            got[name] = bound.arguments
+            return result
+        monkeypatch.setattr(cli, name, stub)
+
+    record("adapt", cli.adapt, (None, RunHistory()))
+    record("sweep_beta", cli.sweep_beta, ([], []))
+    record("build_report", cli.build_report, {})
+    record("pretrain_source", pretrain_source, (None, type("R", (), {"accuracy": 1.0})))
+    monkeypatch.setattr(cli, "save_checkpoint",
+                        lambda model, path: got.setdefault("saved", []).append(path))
+    return got
+
+
+def write_config(tmp_path, values) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(values))
+    return str(path)
+
+
+class TestDefaults:
+    def test_adapt_builds_the_default_config(self, source_ckpt, calls):
+        main(["adapt", "--ckpt", source_ckpt, "--target", "moons:n=10"])
+        assert calls["adapt"]["cfg"] == AdaptConfig()
+
+    def test_sweep_builds_the_default_config(self, source_ckpt, calls, tmp_path):
+        main(["sweep", "--ckpt", source_ckpt, "--target", "moons:n=10",
+              "--out", str(tmp_path / "s.csv")])
+        got = calls["sweep_beta"]
+        assert got["base_cfg"] == AdaptConfig()
+        assert got["betas"] == [0.0, 1.0, 2.0, 5.0] and list(got["seeds"]) == [0, 1, 2]
+
+    def test_pretrain_passes_the_library_defaults(self, calls, tmp_path):
+        main(["pretrain", "--data", "moons:n=10", "--out", str(tmp_path / "m.json")])
+        got = calls["pretrain_source"]
+        params = inspect.signature(pretrain_source).parameters
+        for name in ("momentum", "seed", "batch_size"):
+            assert got[name] == params[name].default
+        assert (got["epochs"], got["lr"]) == (200, 0.01)
+        assert (got["model"].h1, got["model"].h_feat) == (15, 15)
+
+    def test_eval_scores_at_the_snd_temperature(self, source_ckpt, calls):
+        main(["eval", "--ckpt", source_ckpt, "--data", "moons:n=10"])
+        assert calls["build_report"]["tau"] == SND_TAU
+
+
+class TestPrecedence:
+    def test_flag_beats_config_beats_default(self, source_ckpt, calls, tmp_path):
+        cfg = write_config(tmp_path, {"k": 2, "epochs": 1, "lr": 0.1})
+        main(["adapt", "--ckpt", source_ckpt, "--target", "moons:n=10", "--config", cfg,
+              "--epochs", "3"])
+        assert calls["adapt"]["cfg"] == AdaptConfig(k=2, epochs=3, lr=0.1)
+
+    def test_pretrain_flag_beats_config(self, calls, tmp_path):
+        cfg = write_config(tmp_path, {"seed": 3, "lr": 0.5, "hidden1": 4})
+        main(["pretrain", "--data", "moons:n=10", "--out", str(tmp_path / "m.json"),
+              "--config", cfg, "--seed", "4"])
+        got = calls["pretrain_source"]
+        assert (got["seed"], got["lr"], got["model"].h1) == (4, 0.5, 4)
+
+    def test_config_key_without_a_flag_reaches_sweep(self, source_ckpt, calls, tmp_path):
+        cfg = write_config(tmp_path, {"bank_mode": "ring", "ring_capacity": 8, "betas": [1, 2]})
+        main(["sweep", "--ckpt", source_ckpt, "--target", "moons:n=10", "--config", cfg,
+              "--out", str(tmp_path / "s.csv")])
+        got = calls["sweep_beta"]
+        assert got["base_cfg"] == AdaptConfig(bank_mode="ring", ring_capacity=8)
+        assert got["betas"] == [1.0, 2.0]
+
+    def test_null_counts_as_not_set(self, source_ckpt, calls, tmp_path):
+        cfg = write_config(tmp_path, {"k": None, "beta": None, "objective": None})
+        main(["adapt", "--ckpt", source_ckpt, "--target", "moons:n=10", "--config", cfg])
+        assert calls["adapt"]["cfg"] == AdaptConfig()
+
+    def test_eval_tau_from_config(self, source_ckpt, calls, tmp_path):
+        cfg = write_config(tmp_path, {"tau": 0.5})
+        main(["eval", "--ckpt", source_ckpt, "--data", "moons:n=10", "--config", cfg])
+        assert calls["build_report"]["tau"] == 0.5
+
+    def test_paths_come_from_flags_only(self, source_ckpt, calls, tmp_path):
+        history = tmp_path / "history.json"
+        cfg = write_config(tmp_path, {"out": str(tmp_path / "m.json"),
+                                      "out_history": str(history)})
+        main(["adapt", "--ckpt", source_ckpt, "--target", "moons:n=10", "--config", cfg])
+        assert "saved" not in calls and not history.exists()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sfdalab import errors
 from sfdalab.datasets import (
     SOURCE,
     TARGET,
@@ -17,6 +18,25 @@ from sfdalab.datasets import (
     save_csv_dataset,
 )
 from sfdalab.errors import ParseError, ShapeError
+
+PACKAGE_ERRORS = tuple(v for v in vars(errors).values()
+                       if isinstance(v, type) and issubclass(v, Exception))
+
+_CELLS = st.one_of(
+    st.floats().map(repr), st.integers().map(str), st.sampled_from(["nan", "-inf", "1e999", ""]),
+    st.text(alphabet=st.characters(exclude_characters=","), max_size=5))
+
+
+@st.composite
+def csv_texts(draw):
+    """A header, valid or not, then rows of one to three cells of numbers,
+    non-finite values, integers of any size or short text."""
+    d = draw(st.integers(1, 2))
+    header = draw(st.one_of(st.sampled_from([f"d={d},labels=0", f"d={d},labels=1"]),
+                            st.text(max_size=20)))
+    rows = draw(st.lists(st.lists(_CELLS, min_size=d, max_size=d + 1).map(",".join),
+                         max_size=4))
+    return "\n".join([header, *rows])
 
 
 class TestMakeTwinMoons:
@@ -52,10 +72,18 @@ class TestMakeTwinMoons:
         assert via_cfg.domain == TARGET
 
     def test_rejects_bad_config(self):
-        with pytest.raises(ShapeError):
-            make_twin_moons(MoonsConfig(n_per_class=0))
-        with pytest.raises(ShapeError):
-            make_twin_moons(MoonsConfig(noise_sigma=-0.1))
+        for cfg in (
+            MoonsConfig(n_per_class=0),
+            MoonsConfig(noise_sigma=-0.1),
+            MoonsConfig(noise_sigma=np.nan),      # nan > 0 is False: it meant "no noise"
+            MoonsConfig(noise_sigma=np.inf),
+            MoonsConfig(noise_sigma=1e308),       # finite, but the noise overflows
+            MoonsConfig(rotation_deg=np.inf),
+            MoonsConfig(rotation_deg=np.nan),
+            MoonsConfig(seed=-1),
+        ):
+            with pytest.raises(ShapeError):
+                make_twin_moons(cfg)
 
 
 class TestRotateDataset:
@@ -114,6 +142,12 @@ class TestOpenSetVariant:
         same = make_open_set_variant(ds, n_unknown=0)
         assert np.array_equal(same.X, ds.X)
         assert same.X is not ds.X
+
+    @pytest.mark.parametrize("kwargs", [dict(n_unknown=-1), dict(n_unknown=3, seed=-1)])
+    def test_rejects_bad_config(self, kwargs):
+        ds = make_twin_moons(MoonsConfig(n_per_class=5))
+        with pytest.raises(ShapeError):
+            make_open_set_variant(ds, **kwargs)
 
     def test_known_classes_unchanged(self):
         ds = make_twin_moons(MoonsConfig(n_per_class=30, seed=12))
@@ -178,6 +212,44 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError):
             load_csv_dataset(p)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    def test_rejects_non_finite_cell_naming_its_row(self, tmp_path, cell):
+        p = tmp_path / "nonfinite.csv"
+        p.write_text(f"d=2,labels=1\n0.5,1.5,0\n0.5,{cell},1\n")
+        with pytest.raises(ParseError, match="row 2"):
+            load_csv_dataset(p)
+
+    def test_rejects_label_beyond_int64(self, tmp_path):
+        p = tmp_path / "huge.csv"
+        p.write_text("d=2,labels=1\n0.5,1.5,123456789012345678901234\n")
+        with pytest.raises(ParseError, match="row 1"):
+            load_csv_dataset(p)
+
+    def test_rejects_label_below_minus_one(self, tmp_path):
+        p = tmp_path / "negative.csv"
+        p.write_text("d=2,labels=1\n0.5,1.5,0\n0.5,1.5,-5\n")
+        with pytest.raises(ShapeError):
+            load_csv_dataset(p)
+
+    def test_huge_header_width_fails_before_allocating(self, tmp_path):
+        p = tmp_path / "wide.csv"
+        for text in ("d=1000000000000,labels=0\n0.5\n", "d=10000000000000000000000,labels=0\n"):
+            p.write_text(text)
+            with pytest.raises(ParseError):
+                load_csv_dataset(p)
+
+    @given(st.one_of(st.text(max_size=60), csv_texts()))
+    @settings(max_examples=300, deadline=None)
+    def test_any_text_loads_finite_or_raises_a_package_error(self, tmp_path_factory, text):
+        p = tmp_path_factory.mktemp("fuzz") / "any.csv"
+        p.write_text(text, encoding="utf-8")
+        try:
+            ds = load_csv_dataset(p)
+        except PACKAGE_ERRORS:
+            return
+        assert np.all(np.isfinite(ds.X))
+        assert np.all(ds.labels >= -1)
+
     def test_rejects_malformed_header(self, tmp_path):
         for header in ("d=0,labels=1", "d=2,labels=2", "d=x,labels=1", "d=2"):
             p = tmp_path / "hdr.csv"
@@ -194,6 +266,10 @@ class TestDatasetValidation:
     def test_rejects_out_of_range_labels(self):
         with pytest.raises(ShapeError):
             Dataset(X=np.zeros((2, 2)), labels=np.array([0, 2]), num_classes=2)
+
+    def test_rejects_labels_below_minus_one(self):
+        with pytest.raises(ShapeError):
+            Dataset(X=np.zeros((2, 2)), labels=np.array([0, -5]), num_classes=2)
 
     def test_allows_unknown_label(self):
         ds = Dataset(X=np.zeros((2, 2)), labels=np.array([-1, 1]), num_classes=2)

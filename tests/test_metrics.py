@@ -164,7 +164,7 @@ class TestAgreementRatios:
         preds = np.array([[0.9, 0.1], [0.8, 0.2], [0.85, 0.15],
                           [0.7, 0.3], [0.2, 0.8]])
         bank = bank_from(feats, preds)
-        same, correct = agreement_ratios(bank, labels=[0, 0, 0, 0, 1], k=3)
+        same, correct = agreement_ratios(bank, labels=[0, 0, 0, 0, 1])
         # rows 0-3 all predict class 0 and pick neighbors within the tight
         # cluster; row 4 must reach across and disagrees
         assert same == pytest.approx(4 / 5)
@@ -174,7 +174,7 @@ class TestAgreementRatios:
         feats = np.array([[1.0, 0.0], [1.0, 0.01], [1.0, -0.01], [1.0, 0.02]])
         preds = np.array([[0.9, 0.1], [0.8, 0.2], [0.85, 0.15], [0.6, 0.4]])
         bank = bank_from(feats, preds)
-        same, correct = agreement_ratios(bank, labels=[1, 1, 1, 1], k=3)
+        same, correct = agreement_ratios(bank, labels=[1, 1, 1, 1])
         assert same == 1.0
         assert correct == 0.0  # all agree on class 0, truth is class 1
 
@@ -189,7 +189,7 @@ class TestAgreementRatios:
         feats = np.eye(3)
         preds = np.full((3, 2), 0.5)
         with pytest.raises(InsufficientDataError):
-            agreement_ratios(bank_from(feats, preds), k=3)
+            agreement_ratios(bank_from(feats, preds))
 
 
 class TestEpochEvaluationMemory:
