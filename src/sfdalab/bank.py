@@ -7,6 +7,10 @@ among its last ``capacity`` writes, each at its latest write. Retrieval
 is K-nearest-neighbor by cosine similarity with ties broken toward the
 lower sample id, so results are deterministic; a zero-norm row, or every
 row for a zero-norm query, has a similarity below every cosine.
+
+Next to each feature row the bank keeps its unit-norm copy, written once
+by ``update``, so a cosine is one product of unit rows and a retrieval
+normalises only its queries.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, InsufficientDataError, InvalidInputError, ShapeError
-from .numerics import as_matrix, require_simplex_rows, rescaled_rows, row_blocks, scratch
+from .numerics import as_matrix, require_simplex_rows, row_blocks, scratch, unit_rows
 
 MODES = ("full", "ring")
 
@@ -35,6 +39,9 @@ class MemoryBank:
         self.mode = mode
         self.capacity = int(capacity)
         self.features = np.zeros((capacity, feat_dim))
+        # unit-norm copy of each feature row, and which rows are zero
+        self.unit = np.zeros((capacity, feat_dim))
+        self.zero_norm = np.ones(capacity, dtype=bool)
         self.predictions = np.zeros((capacity, n_classes))
         self.sample_ids = np.full(capacity, -1, dtype=np.int64)
         self.cursor = 0
@@ -52,7 +59,9 @@ class MemoryBank:
         """Write a batch of rows. Full mode overwrites the slots addressed by
         sample id; ring mode appends at the cursor, evicting the oldest rows,
         and clears the slot of any older copy of a written id (sample id -1),
-        so the last write of an id wins."""
+        so the last write of an id wins. Each written slot also gets the
+        unit-norm copy of its feature row and its zero-norm flag, which
+        retrieval reads instead of normalising the stored rows again."""
         ids = np.asarray(sample_ids, dtype=np.int64).ravel()
         feats = as_matrix(features, "features")
         preds = require_simplex_rows(predictions, tol=1e-6, name="predictions")
@@ -60,13 +69,16 @@ class MemoryBank:
             raise ShapeError("sample_ids, features and predictions must be row-aligned")
         if feats.shape[1] != self.feat_dim or preds.shape[1] != self.n_classes:
             raise ShapeError("row width does not match bank layout")
-        if np.any(ids < 0):
+        if (ids < 0).any():
             raise InvalidInputError("sample ids must be non-negative")
+        unit, zero = unit_rows(feats)
 
         if self.mode == "full":
-            if np.any(ids >= self.capacity):
+            if (ids >= self.capacity).any():
                 raise IndexError("sample id exceeds full-mode bank capacity")
             self.features[ids] = feats
+            self.unit[ids] = unit
+            self.zero_norm[ids] = zero
             self.predictions[ids] = preds
             self.sample_ids[ids] = ids
         elif ids.size:
@@ -81,6 +93,8 @@ class MemoryBank:
             pos = np.minimum(np.searchsorted(written, self.sample_ids), written.size - 1)
             self.sample_ids[written[pos] == self.sample_ids] = -1
             self.features[slots] = feats[rows]
+            self.unit[slots] = unit[rows]
+            self.zero_norm[slots] = zero[rows]
             self.predictions[slots] = preds[rows]
             self.sample_ids[slots] = kept
             # the stable order puts an id's last write last among its copies
@@ -114,9 +128,10 @@ class MemoryBank:
         similarity -2, below every cosine, so they come last, in id
         order. ``exclude_ids`` gives one sample id per query, and its row
         is never returned for that query. A bank must hold more than k
-        rows, so at least k are left after the exclusion. Rows with tiny
-        or huge entries are rescaled first (``numerics.rescaled_rows``),
-        so their cosines neither underflow nor overflow.
+        rows, so at least k are left after the exclusion. A cosine is the
+        product of the unit query row and the unit row ``update`` stored
+        (``numerics.unit_rows``, which rescales rows with tiny or huge
+        entries first, so their cosines neither underflow nor overflow).
         """
         if k < 1:
             raise ConfigError("k must be >= 1")
@@ -127,17 +142,13 @@ class MemoryBank:
             raise InsufficientDataError(f"bank holds {self.filled} rows, need more than k={k}")
         if self.mode == "full" and self.filled == self.capacity:
             slots = None  # every slot holds its own id: candidate position == slot
-            cand_ids, cand_feats = self.sample_ids, self.features
+            cand_ids, cand_unit, zero_cands = self.sample_ids, self.unit, self.zero_norm
         else:
             slots = self.occupied()
-            cand_ids, cand_feats = self.sample_ids[slots], self.features[slots]
+            cand_ids, cand_unit = self.sample_ids[slots], self.unit[slots]
+            zero_cands = self.zero_norm[slots]
         nq, n = Q.shape[0], cand_ids.size
-
-        cand_feats, norms = rescaled_rows(cand_feats)
-        Q, qnorms = rescaled_rows(Q)
-        cand_den = np.where(norms > 0, norms, 1.0)
-        query_den = np.where(qnorms > 0, qnorms, 1.0)
-        zero_cands = norms == 0.0
+        Q, zero_queries = unit_rows(Q)
 
         # candidates are in id order and hold each id once, so query r's
         # excluded id, if stored, sits at position pos[r]
@@ -157,11 +168,9 @@ class MemoryBank:
         # besides the excluded one fill all k places.
         order = np.empty((nq, k), dtype=np.int64)
         for lo, hi in row_blocks(nq):
-            sims = np.matmul(Q[lo:hi], cand_feats.T, out=scratch("knn.sims", (hi - lo, n)))
-            sims /= np.multiply.outer(query_den[lo:hi], cand_den,
-                                      out=scratch("knn.denom", (hi - lo, n)))
+            sims = np.matmul(Q[lo:hi], cand_unit.T, out=scratch("knn.sims", (hi - lo, n)))
             sims[:, zero_cands] = _FLOOR_SIMILARITY
-            sims[qnorms[lo:hi] == 0.0, :] = _FLOOR_SIMILARITY
+            sims[zero_queries[lo:hi], :] = _FLOOR_SIMILARITY
             if exclude_ids is not None:
                 rows = hit[np.searchsorted(hit, lo):np.searchsorted(hit, hi)]
                 sims[rows - lo, pos[rows]] = -np.inf

@@ -88,7 +88,29 @@ def _load_config(path) -> dict:
     cfg = json.loads(Path(path).read_text())
     if not isinstance(cfg, dict):
         raise ParseError("config file must hold a JSON object")
+    for key, value in cfg.items():
+        if key in _FLAGS and value is not None:
+            _check_config_type(key, value)
     return cfg
+
+
+# The JSON types a config value may take, by the type its flag declares
+# (str when it declares none). JSON true and false load as bools, which
+# count as no number here.
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               str: ((str,), "a string")}
+
+
+def _check_config_type(key: str, value) -> None:
+    """Raise ParseError unless ``value`` has a JSON type that the flag
+    ``key`` takes; ``betas`` may also be a list of numbers."""
+    types, kind = _JSON_TYPES[_FLAGS[key].get("type", str)]
+    if key == "betas":
+        kind = "a string or a list of numbers"
+        if type(value) is list and all(type(b) in _JSON_TYPES[float][0] for b in value):
+            return
+    if type(value) not in types:
+        raise ParseError(f"config key {key!r} must be {kind}, got {value!r}")
 
 
 def _pick(given: dict, names) -> dict:
@@ -179,7 +201,7 @@ def cmd_sweep(args, given: dict) -> int:
     for b in betas_raw:
         try:
             betas.append(float(b))
-        except (TypeError, ValueError):
+        except ValueError:
             raise ParseError(f"bad beta {b!r}") from None
     _, table = sweep_beta(model, target, betas, _adapt_config(given),
                           seeds=range(given.get("seeds", 3)))

@@ -35,7 +35,7 @@ class Dataset:
             raise ShapeError("X must be a non-empty 2-D array")
         if self.labels.shape != (self.X.shape[0],):
             raise ShapeError("labels must supply one entry per sample")
-        if np.any((self.labels < -1) | (self.labels >= self.num_classes)):
+        if ((self.labels < -1) | (self.labels >= self.num_classes)).any():
             raise ShapeError("labels must be < num_classes (or -1)")
 
     def __len__(self) -> int:
@@ -84,7 +84,7 @@ def make_twin_moons(cfg: MoonsConfig) -> Dataset:
     ds = Dataset(X=X, labels=labels, domain=SOURCE, num_classes=2)
     if cfg.rotation_deg != 0.0:
         ds = rotate_dataset(ds, cfg.rotation_deg)
-    if not np.all(np.isfinite(ds.X)):
+    if not np.isfinite(ds.X).all():
         raise ShapeError(f"noise_sigma {cfg.noise_sigma!r} puts points beyond the float range")
     return ds
 
@@ -131,7 +131,10 @@ def save_csv_dataset(ds: Dataset, path) -> None:
 def load_csv_dataset(path, domain: str = SOURCE) -> Dataset:
     """Read a dataset back; num_classes is inferred as max(label)+1 when
     any non-negative label is present, else 0."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError("empty dataset file")
@@ -157,7 +160,7 @@ def load_csv_dataset(path, domain: str = SOURCE) -> Dataset:
     nonfinite = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if nonfinite.size:
         raise ParseError(f"row {nonfinite[0] + 1}: non-finite value")
-    num_classes = int(labels.max()) + 1 if np.any(labels >= 0) else 0
+    num_classes = int(labels.max()) + 1 if (labels >= 0).any() else 0
     return Dataset(X=X, labels=labels, domain=domain, num_classes=num_classes)
 
 

@@ -58,14 +58,14 @@ def classification_report(predictions, truth, num_classes: int) -> EvalReport:
     if pred.shape != true.shape or pred.ndim != 1:
         raise ShapeError("predictions and truth must be equal-length 1-D arrays")
     known = true >= 0
-    if not np.any(known):
+    if not known.any():
         raise InsufficientDataError("no labeled samples to score")
     pred, true = pred[known], true[known]
     accuracy = float(np.mean(pred == true))
     per_class = {}
     for c in range(num_classes):
         mask = true == c
-        if np.any(mask):
+        if mask.any():
             per_class[c] = float(np.mean(pred[mask] == c))
     mean_pc = float(np.mean(list(per_class.values())))
     return EvalReport(accuracy=accuracy, per_class_accuracy=per_class,
@@ -123,7 +123,7 @@ def agreement_ratios(bank: MemoryBank, labels=None):
     own = np.argmax(preds, axis=1)
     nbr_slots = bank.knn_slots(feats, RATIO_K, exclude_ids=sids)
     nbr_labels = np.argmax(bank.predictions, axis=1)[nbr_slots]   # (n, RATIO_K)
-    same = np.all(nbr_labels == own[:, None], axis=1)
+    same = (nbr_labels == own[:, None]).all(axis=1)
     same_ratio = float(np.mean(same))
     if labels is None:
         return same_ratio, None
@@ -198,7 +198,7 @@ def build_report(model: MlpModel, X, labels, num_classes: int,
     pred = np.argmax(cache.P, axis=1)
     report = {"accuracy": None, "per_class": None, "snd": None,
               "ratios": None, "hos": None, "os": None}
-    if np.any(labels >= 0):
+    if (labels >= 0).any():
         er = classification_report(pred, labels, num_classes)
         report["accuracy"] = er.accuracy
         report["per_class"] = er.to_dict()["per_class"]
@@ -208,10 +208,10 @@ def build_report(model: MlpModel, X, labels, num_classes: int,
         bank = MemoryBank(mode="full", capacity=X.shape[0],
                           feat_dim=model.h_feat, n_classes=model.n_classes)
         bank.update(np.arange(X.shape[0]), cache.features, cache.P)
-        has_labels = bool(np.any(labels >= 0))
+        has_labels = bool((labels >= 0).any())
         same, correct = agreement_ratios(bank, labels if has_labels else None)
         report["ratios"] = {"same": same, "correct": correct}
-    if np.any(labels < 0) and np.any(labels >= 0):
+    if (labels < 0).any() and (labels >= 0).any():
         known = labels >= 0
         per_known = classification_report(pred[known], labels[known], num_classes)
         scores = open_set_scores(per_known.mean_per_class, 0.0, num_classes)

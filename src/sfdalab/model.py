@@ -167,7 +167,7 @@ def sgd_step(model: MlpModel, grads: dict[str, np.ndarray], lr: float, momentum:
     params = model.params()
     for name in PARAM_NAMES:
         g = np.asarray(grads[name], dtype=np.float64)
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise DivergenceError(f"non-finite gradient for {name}")
         if g.shape != params[name].shape:
             raise ShapeError(f"gradient shape mismatch for {name}")
@@ -246,7 +246,7 @@ def load_checkpoint(path) -> MlpModel:
             raise InvalidInputError(f"checkpoint parameter {name} is not a list of numbers") from None
         if arr.size != int(np.prod(shape)):
             raise InvalidInputError(f"checkpoint parameter {name} has wrong length")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise InvalidInputError(f"checkpoint parameter {name} has non-finite values")
         params[name] = arr.reshape(shape)
     return MlpModel(**params, seed=int(doc.get("seed", 0)))

@@ -164,7 +164,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.ascontiguousarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
     return m
 
@@ -172,10 +172,10 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 def require_simplex_rows(P: np.ndarray, tol: float = 1e-6, name: str = "P") -> np.ndarray:
     """Check every row of ``P`` lies on the probability simplex within ``tol``."""
     P = as_matrix(P, name)
-    if np.any(P < -tol):
+    if (P < -tol).any():
         raise InvalidInputError(f"{name} has negative entries")
     sums = P.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > tol):
+    if (np.abs(sums - 1.0) > tol).any():
         raise InvalidInputError(f"{name} rows do not sum to 1 (max dev {np.abs(sums - 1).max():.3g})")
     return P
 
@@ -209,14 +209,22 @@ def rescaled_rows(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return M, norms
 
 
-def l2_normalize_rows(M) -> np.ndarray:
-    """Scale each row to unit Euclidean norm; zero rows pass through unchanged.
+def unit_rows(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, zero): each row of the finite matrix ``M`` divided by its
+    Euclidean norm, and the mask of its zero rows, which stay zero.
 
     Rows are rescaled first as in ``rescaled_rows``, so a row with tiny or
-    huge entries is normalized without underflow or overflow.
+    huge entries comes out a finite unit row, without underflow or overflow.
     """
-    rows, norms = rescaled_rows(as_matrix(M))
-    return rows / np.where(norms > 0.0, norms, 1.0)[:, None]
+    rows, norms = rescaled_rows(M)
+    zero = norms == 0.0
+    return rows / np.where(zero, 1.0, norms)[:, None], zero
+
+
+def l2_normalize_rows(M) -> np.ndarray:
+    """Scale each row to unit Euclidean norm (``unit_rows``) after checking
+    that ``M`` is a finite matrix; zero rows pass through unchanged."""
+    return unit_rows(as_matrix(M))[0]
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x, h: float = 1e-5) -> np.ndarray:

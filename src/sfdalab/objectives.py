@@ -51,7 +51,7 @@ class LossResult:
     div_term: float | None = None
 
     def __post_init__(self):
-        if not np.isfinite(self.value) or not np.all(np.isfinite(self.grad)):
+        if not np.isfinite(self.value) or not np.isfinite(self.grad).all():
             raise InvalidInputError("loss produced non-finite value or gradient")
 
 
@@ -73,7 +73,7 @@ def _check_neighbors(P: np.ndarray, neighbor_preds) -> np.ndarray:
     nbr = np.asarray(neighbor_preds, dtype=np.float64)
     if nbr.ndim != 3 or nbr.shape[0] != P.shape[0] or nbr.shape[2] != P.shape[1]:
         raise ShapeError("neighbor_preds must have shape (batch, K, C)")
-    if not np.all(np.isfinite(nbr)):
+    if not np.isfinite(nbr).all():
         raise InvalidInputError("neighbor_preds contains non-finite entries")
     return nbr
 
@@ -212,7 +212,7 @@ def nc_loss(P_batch, neighbor_preds, weights=None) -> LossResult:
         W = np.asarray(weights, dtype=np.float64)
         if W.shape != (bs, k):
             raise ShapeError(f"weights must have shape ({bs}, {k})")
-        if np.any(W <= 0):
+        if (W <= 0).any():
             raise InvalidInputError("weights must be positive")
 
     dots = np.einsum("ic,ikc->ik", P, nbr)
@@ -248,7 +248,7 @@ def infonce_loss(anchor_feats, positive_feats, negative_feats, tau: float) -> Lo
     if Neg.shape[1] != A.shape[1]:
         raise ShapeError("negative_feats width must match anchors")
     for M, name in ((A, "anchor"), (Pos, "positive"), (Neg, "negative")):
-        if M.shape[0] and np.any(np.abs(np.linalg.norm(M, axis=1) - 1.0) > 1e-3):
+        if M.shape[0] and (np.abs(np.linalg.norm(M, axis=1) - 1.0) > 1e-3).any():
             raise InvalidInputError(f"{name} features must be L2-normalized")
 
     n = A.shape[0]
@@ -279,7 +279,7 @@ def cross_entropy_loss(P_batch, labels) -> LossResult:
     bs, C = P.shape
     if y.size != bs:
         raise ShapeError("labels must supply one entry per row")
-    if np.any(y < 0) or np.any(y >= C):
+    if (y < 0).any() or (y >= C).any():
         raise InvalidInputError(f"labels must lie in [0, {C})")
     picked = np.maximum(P[np.arange(bs), y], LOG_CLAMP)
     grad = np.zeros_like(P)

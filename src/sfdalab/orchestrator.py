@@ -178,9 +178,9 @@ def pretrain_source(model: MlpModel, source: Dataset, epochs: int, lr: float,
         raise ConfigError(f"lr must be finite and positive, got {lr!r}")
     if batch_size < 1:
         raise ConfigError("batch_size must be >= 1")
-    if np.any(source.labels < 0):
+    if (source.labels < 0).any():
         raise InvalidInputError("source data must be fully labeled")
-    if np.any(source.labels >= model.n_classes):
+    if (source.labels >= model.n_classes).any():
         raise InvalidInputError(f"source labels must be < the model's {model.n_classes} classes")
     as_matrix(source.X, "source.X")
     bs = min(batch_size, len(source))
@@ -231,7 +231,7 @@ def adapt(model: MlpModel, target: Dataset, cfg: AdaptConfig) -> tuple[MlpModel,
     bank.update(np.arange(n), seed_cache.features, seed_cache.P)
 
     max_iter = max(cfg.epochs * (n // cfg.batch_size), 1)
-    has_labels = bool(np.any(target.labels >= 0))
+    has_labels = bool((target.labels >= 0).any())
     no_neighbors = np.empty((cfg.batch_size, 0, model.n_classes))
     model.reset_velocity()
     rng = np.random.Generator(np.random.PCG64(cfg.seed))

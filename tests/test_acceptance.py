@@ -171,12 +171,14 @@ def test_criterion_2_jensen_bound_dominance():
 
 
 def _oracle_knn(bank, queries, k, exclude_ids):
-    """Independent brute force: full stable sort on (-similarity, id)."""
+    """Independent brute force: full stable sort on (-similarity, id),
+    where a similarity is the product of two rows each divided by its
+    own norm."""
     ids, feats, _ = bank.snapshot()
     qn = np.linalg.norm(queries, axis=1)
     fn = np.linalg.norm(feats, axis=1)
-    sims = (queries @ feats.T) / np.outer(np.where(qn > 0, qn, 1.0),
-                                          np.where(fn > 0, fn, 1.0))
+    sims = ((queries / np.where(qn > 0, qn, 1.0)[:, None])
+            @ (feats / np.where(fn > 0, fn, 1.0)[:, None]).T)
     sims[:, fn == 0.0] = -np.inf
     sims[qn == 0.0, :] = -np.inf
     out = np.empty((queries.shape[0], k), dtype=np.int64)

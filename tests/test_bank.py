@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sfdalab import bank as bank_module
 from sfdalab import numerics
 from sfdalab.bank import MODES, MemoryBank
 from sfdalab.errors import (
@@ -217,13 +218,14 @@ class TestKnn:
 
 def oracle_knn_batch(bank, queries, k, exclude_ids):
     """Full stable sort on (-cosine, id) over the bank's id-ordered rows,
-    computed with the bank's own arithmetic and dropping each query's
+    computed with the bank's own arithmetic (each row divided by its own
+    norm, then one product of the unit rows) and dropping each query's
     excluded id."""
     ids, feats, _ = bank.snapshot()
     qn = np.linalg.norm(queries, axis=1)
     fn = np.linalg.norm(feats, axis=1)
-    sims = (queries @ feats.T) / np.outer(np.where(qn > 0, qn, 1.0),
-                                          np.where(fn > 0, fn, 1.0))
+    sims = ((queries / np.where(qn > 0, qn, 1.0)[:, None])
+            @ (feats / np.where(fn > 0, fn, 1.0)[:, None]).T)
     sims[:, fn == 0.0] = -np.inf
     sims[qn == 0.0, :] = -np.inf
     out = []
@@ -331,6 +333,56 @@ class TestExclusion:
         for excl in (own_ids, None):
             got, _, _ = bank.knn_batch(queries, k, exclude_ids=excl)
             assert all(np.unique(row).size == k for row in got)
+
+
+class TestUnitRows:
+    @staticmethod
+    def stored_rows(bank):
+        slots = bank.occupied()
+        return bank.features[slots], bank.unit[slots], bank.zero_norm[slots]
+
+    @given(banks_with_queries(), st.sampled_from([1e200, 1e-170]))
+    @settings(max_examples=100, deadline=None)
+    def test_each_slot_holds_its_row_divided_by_its_norm(self, case, scale):
+        bank = case[0]
+        feats, unit, zero = self.stored_rows(bank)
+        norms = np.linalg.norm(feats, axis=1)
+        assert np.array_equal(zero, norms == 0.0)
+        assert np.array_equal(unit[zero], feats[zero])
+        assert np.array_equal(unit[~zero], feats[~zero] / norms[~zero, None])
+        # rewrite every stored row scaled so its squared norm leaves the
+        # float range: the unit rows come out finite and unit all the same
+        ids, stored, _ = bank.snapshot()
+        bank.update(ids, stored * scale, uniform_preds(ids.size))
+        scaled, scaled_unit, scaled_zero = self.stored_rows(bank)
+        assert np.array_equal(scaled, feats * scale)
+        assert np.array_equal(scaled_zero, zero)
+        assert np.isfinite(scaled_unit).all()
+        assert np.array_equal(scaled_unit[zero], feats[zero])
+        np.testing.assert_allclose(np.linalg.norm(scaled_unit[~zero], axis=1), 1.0,
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(scaled_unit, unit, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_knn_normalises_its_queries_and_nothing_else(self, mode, monkeypatch):
+        rng = np.random.default_rng(5)
+        n, q = 50, 6
+        bank = MemoryBank(mode, n if mode == "full" else 64, 3, 2)
+        bank.update(np.arange(n), rng.normal(size=(n, 3)), uniform_preds(n))
+        rows = []
+        real = numerics.rescaled_rows
+
+        def counted(M):
+            rows.append(M.shape[0])
+            return real(M)
+
+        # the rescaler every row normalisation of the bank goes through,
+        # wherever the bank's code looks it up
+        for module in (numerics, bank_module):
+            if getattr(module, "rescaled_rows", None) is real:
+                monkeypatch.setattr(module, "rescaled_rows", counted)
+        bank.knn_slots(rng.normal(size=(q, 3)), 3)
+        assert rows == [q]
 
 
 def slots_per_block_size(bank, queries, k, exclude_ids):

@@ -214,6 +214,16 @@ class TestConfigFile:
             main(["adapt", "--ckpt", source_ckpt, "--target", "moons",
                   "--config", str(cfg_path)])
 
+    @pytest.mark.parametrize("values", [{"seeds": 2.5}, {"k": "2"}, {"betas": 5},
+                                        {"seeds": True}, {"betas": [1, "2"]}],
+                             ids=["float-seeds", "string-k", "number-betas", "bool-seeds",
+                                  "string-in-betas-list"])
+    def test_value_of_the_wrong_json_type_names_its_key(self, source_ckpt, tmp_path, values):
+        (key,) = values
+        with pytest.raises(ParseError, match=f"config key '{key}'"):
+            main(["sweep", "--ckpt", source_ckpt, "--target", "moons:n=10",
+                  "--out", str(tmp_path / "s.csv"), "--config", write_config(tmp_path, values)])
+
 
 class TestParser:
     def test_subcommand_required(self):

@@ -181,6 +181,12 @@ class TestCsvRoundTrip:
         save_csv_dataset(ds, p)
         assert p.read_text().splitlines()[0] == "d=2,labels=1"
 
+    def test_rejects_non_utf8_file_naming_it(self, tmp_path):
+        p = tmp_path / "latin.csv"
+        p.write_bytes(b"d=2,labels=0\n\xff\xfe")
+        with pytest.raises(ParseError, match="latin.csv"):
+            load_csv_dataset(p)
+
     def test_loads_unlabeled_format(self, tmp_path):
         p = tmp_path / "plain.csv"
         p.write_text("d=2,labels=0\n0.5,1.5\n-1.0,2.0\n")
@@ -242,7 +248,8 @@ class TestCsvRoundTrip:
     @settings(max_examples=300, deadline=None)
     def test_any_text_loads_finite_or_raises_a_package_error(self, tmp_path_factory, text):
         p = tmp_path_factory.mktemp("fuzz") / "any.csv"
-        p.write_text(text, encoding="utf-8")
+        # a lone surrogate encodes to bytes that are not UTF-8 text
+        p.write_bytes(text.encode("utf-8", "surrogatepass"))
         try:
             ds = load_csv_dataset(p)
         except PACKAGE_ERRORS:

@@ -39,6 +39,28 @@ def test_checker_flags_an_unused_import():
     assert unused_imports("from __future__ import annotations\n") == []
 
 
+def wrapped_reductions(source: str) -> list[str]:
+    """Calls of ``np.all`` and ``np.any``: on an array the methods
+    ``.all()`` and ``.any()`` do the same check for less overhead."""
+    return [f"line {node.lineno}: np.{node.func.attr}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("all", "any") and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "np"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_wrapped_reductions(path):
+    assert wrapped_reductions(path.read_text()) == []
+
+
+def test_checker_flags_a_wrapped_reduction():
+    assert wrapped_reductions("if np.all(x > 0) or np.any(y, axis=1):\n    pass\n") == [
+        "line 1: np.all", "line 1: np.any"]
+    assert wrapped_reductions("ok = (x > 0).all() and np.isfinite(y).any(axis=1)\n") == []
+    # a reference that is not a call, and another module's all
+    assert wrapped_reductions("f = np.all\nall(xs)\nsome.all(x)\n") == []
+
+
 def export_mismatches(source: str) -> list[str]:
     """Differences between the names a package ``__init__`` imports and
     the names its ``__all__`` literal lists; ``from __future__`` imports
