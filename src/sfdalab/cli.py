@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .bank import MODES
 from .datasets import (
@@ -28,6 +27,7 @@ from .datasets import (
     load_csv_dataset,
     make_open_set_variant,
     make_twin_moons,
+    read_utf8,
 )
 from .errors import ParseError
 from .metrics import build_report, decision_grid, save_grid_csv, write_report_json
@@ -85,7 +85,10 @@ def parse_data_spec(spec: str, domain: str = "source") -> Dataset:
 def _load_config(path) -> dict:
     if path is None:
         return {}
-    cfg = json.loads(Path(path).read_text())
+    try:
+        cfg = json.loads(read_utf8(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(cfg, dict):
         raise ParseError("config file must hold a JSON object")
     for key, value in cfg.items():

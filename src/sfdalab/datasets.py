@@ -73,14 +73,17 @@ def make_twin_moons(cfg: MoonsConfig) -> Dataset:
         raise ShapeError(f"seed must be >= 0, got {cfg.seed}")
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     n = cfg.n_per_class
-    t0 = rng.uniform(0.0, np.pi, n)
-    t1 = rng.uniform(0.0, np.pi, n)
-    pts0 = np.column_stack([np.cos(t0), np.sin(t0)])
-    pts1 = np.column_stack([1.0 - np.cos(t1), 0.5 - np.sin(t1)])
-    X = np.vstack([pts0, pts1])
-    if cfg.noise_sigma > 0:
-        X = X + rng.normal(0.0, cfg.noise_sigma, size=X.shape)
-    labels = np.concatenate([np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
+    try:
+        t0 = rng.uniform(0.0, np.pi, n)
+        t1 = rng.uniform(0.0, np.pi, n)
+        pts0 = np.column_stack([np.cos(t0), np.sin(t0)])
+        pts1 = np.column_stack([1.0 - np.cos(t1), 0.5 - np.sin(t1)])
+        X = np.vstack([pts0, pts1])
+        if cfg.noise_sigma > 0:
+            X = X + rng.normal(0.0, cfg.noise_sigma, size=X.shape)
+        labels = np.concatenate([np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
+    except MemoryError:
+        raise ShapeError(f"n_per_class {n} is too large to allocate") from None
     ds = Dataset(X=X, labels=labels, domain=SOURCE, num_classes=2)
     if cfg.rotation_deg != 0.0:
         ds = rotate_dataset(ds, cfg.rotation_deg)
@@ -128,13 +131,18 @@ def save_csv_dataset(ds: Dataset, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def read_utf8(path) -> str:
+    """The file's text; ParseError naming the file if it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_csv_dataset(path, domain: str = SOURCE) -> Dataset:
     """Read a dataset back; num_classes is inferred as max(label)+1 when
     any non-negative label is present, else 0."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    text = read_utf8(path)
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError("empty dataset file")

@@ -63,10 +63,8 @@ def classification_report(predictions, truth, num_classes: int) -> EvalReport:
     pred, true = pred[known], true[known]
     accuracy = float(np.mean(pred == true))
     per_class = {}
-    for c in range(num_classes):
-        mask = true == c
-        if mask.any():
-            per_class[c] = float(np.mean(pred[mask] == c))
+    for c in sorted(set(true[true < num_classes].tolist())):
+        per_class[c] = float(np.mean(pred[true == c] == c))
     mean_pc = float(np.mean(list(per_class.values())))
     return EvalReport(accuracy=accuracy, per_class_accuracy=per_class,
                       mean_per_class=mean_pc, n_samples=int(true.shape[0]))

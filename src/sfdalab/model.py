@@ -10,13 +10,18 @@ finite-difference oracle. Layout::
 
 ReLU is applied after the first layer only, and its subgradient at 0 is
 fixed to 0.
+
+Parameters (``MlpModel.theta``, with ``W1`` ... ``bc`` as reshaped views),
+momentum (``MlpModel.velocity``) and the gradient ``backward`` returns are
+float64 vectors of one layout: the ``PARAM_NAMES`` arrays in order, each
+row-major. ``MlpModel.views`` names the parts of any such vector.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,58 +34,54 @@ PARAM_NAMES = ("W1", "b1", "W2", "b2", "Wc", "bc")
 CHECKPOINT_VERSION = 1
 
 
-@dataclass
+def _view(name: str) -> property:
+    return property(lambda self: self._params[name], doc=f"``{name}``, a view into ``theta``")
+
+
 class MlpModel:
     """Parameters of the feature extractor plus classifier head.
 
-    ``velocity`` holds the per-parameter momentum buffers, zero at init.
+    The keyword arrays are copied into ``theta``; ``velocity``, the
+    momentum in the same layout, is zero at construction.
     """
 
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
-    Wc: np.ndarray
-    bc: np.ndarray
-    seed: int = 0
-    velocity: dict[str, np.ndarray] = field(default_factory=dict)
+    W1, b1, W2, b2, Wc, bc = map(_view, PARAM_NAMES)
+    d_in = property(lambda self: self.W1.shape[0])
+    h1 = property(lambda self: self.W1.shape[1])
+    h_feat = property(lambda self: self.W2.shape[1])
+    n_classes = property(lambda self: self.Wc.shape[1])
 
-    def __post_init__(self):
-        if not self.velocity:
-            self.velocity = {k: np.zeros_like(self.params()[k]) for k in PARAM_NAMES}
+    def __init__(self, W1, b1, W2, b2, Wc, bc, seed: int = 0):
+        parts = (W1, b1, W2, b2, Wc, bc)
+        self.theta = np.concatenate(parts, axis=None, dtype=np.float64)
+        self.velocity = np.zeros_like(self.theta)
+        self.seed = seed
+        self._shapes = [np.shape(p) for p in parts]
+        self._ends = np.cumsum([math.prod(s) for s in self._shapes])
+        self._params = self.views(self.theta)
 
-    @property
-    def d_in(self) -> int:
-        return self.W1.shape[0]
-
-    @property
-    def h1(self) -> int:
-        return self.W1.shape[1]
-
-    @property
-    def h_feat(self) -> int:
-        return self.W2.shape[1]
-
-    @property
-    def n_classes(self) -> int:
-        return self.Wc.shape[1]
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Name -> reshaped view into ``flat``, a vector in the ``theta``
+        layout: ``theta``, ``velocity`` or a gradient from ``backward``."""
+        if flat.shape != self.theta.shape:
+            raise ShapeError(f"expected a vector of shape {self.theta.shape}, got {flat.shape}")
+        parts = np.split(flat, self._ends[:-1])
+        return {k: v.reshape(s) for k, v, s in zip(PARAM_NAMES, parts, self._shapes)}
 
     def params(self) -> dict[str, np.ndarray]:
-        return {k: getattr(self, k) for k in PARAM_NAMES}
+        return dict(self._params)
 
     def n_params(self) -> int:
-        return sum(p.size for p in self.params().values())
+        return self.theta.size
 
     def clone(self) -> "MlpModel":
-        return MlpModel(
-            **{k: v.copy() for k, v in self.params().items()},
-            seed=self.seed,
-            velocity={k: v.copy() for k, v in self.velocity.items()},
-        )
+        twin = MlpModel(**self._params, seed=self.seed)
+        twin.velocity[...] = self.velocity
+        return twin
 
     def reset_velocity(self) -> None:
-        """Zero the momentum buffers; every training run starts fresh."""
-        self.velocity = {k: np.zeros_like(self.params()[k]) for k in PARAM_NAMES}
+        """Zero the momentum; every training run starts fresh."""
+        self.velocity.fill(0.0)
 
 
 @dataclass
@@ -136,8 +137,9 @@ def softmax_vjp(P: np.ndarray, dP: np.ndarray) -> np.ndarray:
     return P * (dP - inner)
 
 
-def backward(model: MlpModel, cache: ForwardCache, dL_dP) -> dict[str, np.ndarray]:
-    """Exact parameter gradients of any scalar loss given its gradient w.r.t. P."""
+def backward(model: MlpModel, cache: ForwardCache, dL_dP) -> np.ndarray:
+    """Exact parameter gradient of any scalar loss given its gradient w.r.t.
+    P, as one vector in the ``theta`` layout."""
     dL_dP = as_matrix(dL_dP, "dL_dP")
     if dL_dP.shape != cache.P.shape:
         raise ShapeError(f"dL_dP shape {dL_dP.shape} does not match predictions {cache.P.shape}")
@@ -155,26 +157,28 @@ def backward(model: MlpModel, cache: ForwardCache, dL_dP) -> dict[str, np.ndarra
     dpre1 = dH * (cache.pre1 > 0.0)  # ReLU'(0) := 0
     dW1 = cache.X.T @ dpre1
     db1 = dpre1.sum(axis=0)
-    return {"W1": dW1, "b1": db1, "W2": dW2, "b2": db2, "Wc": dWc, "bc": dbc}
+    return np.concatenate((dW1, db1, dW2, db2, dWc, dbc), axis=None)
 
 
-def sgd_step(model: MlpModel, grads: dict[str, np.ndarray], lr: float, momentum: float) -> MlpModel:
-    """In-place heavy-ball update: v <- momentum*v + g; theta <- theta - lr*v."""
+def sgd_step(model: MlpModel, grad, lr: float, momentum: float) -> MlpModel:
+    """In-place heavy-ball update: v <- momentum*v + g; theta <- theta - lr*v.
+    ``grad`` is a ``theta``-layout vector; a rejected one (wrong shape, or
+    non-finite: the first such parameter is named) leaves the model as it was."""
     if not (math.isfinite(lr) and lr > 0):
         raise ConfigError(f"lr must be finite and positive, got {lr!r}")
     if not 0.0 <= momentum < 1.0:
         raise ConfigError(f"momentum must be in [0, 1), got {momentum}")
-    params = model.params()
-    for name in PARAM_NAMES:
-        g = np.asarray(grads[name], dtype=np.float64)
-        if not np.isfinite(g).all():
-            raise DivergenceError(f"non-finite gradient for {name}")
-        if g.shape != params[name].shape:
-            raise ShapeError(f"gradient shape mismatch for {name}")
-        v = model.velocity[name]
-        v *= momentum
-        v += g
-        params[name][...] -= lr * v
+    g = np.asarray(grad, dtype=np.float64)
+    if g.shape != model.theta.shape:
+        raise ShapeError(f"gradient shape {g.shape} does not match the {model.n_params()} parameters")
+    if not np.isfinite(g).all():
+        first = np.flatnonzero(~np.isfinite(g))[0]
+        name = PARAM_NAMES[np.searchsorted(model._ends, first, side="right")]
+        raise DivergenceError(f"non-finite gradient for {name}")
+    v = model.velocity
+    v *= momentum
+    v += g
+    model.theta -= lr * v
     return model
 
 
@@ -184,23 +188,15 @@ def predict_labels(model: MlpModel, X) -> np.ndarray:
 
 
 def get_flat_params(model: MlpModel) -> np.ndarray:
-    return np.concatenate([model.params()[k].ravel() for k in PARAM_NAMES])
+    return model.theta.copy()
 
 
 def set_flat_params(model: MlpModel, flat) -> MlpModel:
     flat = np.asarray(flat, dtype=np.float64).ravel()
     if flat.size != model.n_params():
         raise ShapeError(f"expected {model.n_params()} values, got {flat.size}")
-    off = 0
-    for name in PARAM_NAMES:
-        p = model.params()[name]
-        p[...] = flat[off:off + p.size].reshape(p.shape)
-        off += p.size
+    model.theta[...] = flat
     return model
-
-
-def flatten_grads(grads: dict[str, np.ndarray]) -> np.ndarray:
-    return np.concatenate([np.asarray(grads[k]).ravel() for k in PARAM_NAMES])
 
 
 def save_checkpoint(model: MlpModel, path) -> None:
@@ -214,7 +210,7 @@ def save_checkpoint(model: MlpModel, path) -> None:
         "dims": {"d_in": model.d_in, "h1": model.h1,
                  "h_feat": model.h_feat, "n_classes": model.n_classes},
         "seed": model.seed,
-        "params": {k: model.params()[k].ravel().tolist() for k in PARAM_NAMES},
+        "params": {k: v.ravel().tolist() for k, v in model.params().items()},
     }
     Path(path).write_text(json.dumps(doc))
 

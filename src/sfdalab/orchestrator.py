@@ -191,8 +191,8 @@ def pretrain_source(model: MlpModel, source: Dataset, epochs: int, lr: float,
             try:
                 cache = forward(model, source.X[idx])
                 res = cross_entropy_loss(cache.P, source.labels[idx])
-                grads = backward(model, cache, res.grad)
-                sgd_step(model, grads, lr, momentum)
+                grad = backward(model, cache, res.grad)
+                sgd_step(model, grad, lr, momentum)
             except ValueError as exc:
                 raise _step_error(exc, f"pretrain, epoch {epoch}, iteration {b}") from exc
     report = classification_report(
@@ -215,8 +215,7 @@ def adapt(model: MlpModel, target: Dataset, cfg: AdaptConfig) -> tuple[MlpModel,
     divergence: ``InvalidInputError`` and ``DivergenceError`` are re-raised
     as ``DivergenceError``, other errors keep their type. The model is not
     rolled back: it keeps the updates of the steps before the failing one,
-    and ``sgd_step`` may already have updated some of its parameters when
-    it rejects a later gradient.
+    and the failing step leaves it as it was.
     """
     cfg.validate()
     n = len(target)
@@ -249,8 +248,8 @@ def adapt(model: MlpModel, target: Dataset, cfg: AdaptConfig) -> tuple[MlpModel,
                 if objective.needs_neighbors:
                     _, _, nbr_preds = bank.knn_batch(cache.features, cfg.k, exclude_ids=idx)
                 res = objective.loss(cache.P, nbr_preds, lam)
-                grads = backward(model, cache, res.grad)
-                sgd_step(model, grads, cfg.lr, cfg.momentum)
+                grad = backward(model, cache, res.grad)
+                sgd_step(model, grad, cfg.lr, cfg.momentum)
             except ValueError as exc:
                 raise _step_error(exc, f"{cfg.objective}, epoch {epoch}, iteration {b}") from exc
             history.loss.append(res.value)

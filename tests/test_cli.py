@@ -3,6 +3,7 @@ CLI's surface: its flags, its defaults and their precedence."""
 
 import inspect
 import json
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,7 @@ class TestParseDataSpec:
     @pytest.mark.parametrize("spec", [
         "moons:unknown=-1", "moons:seed=-1", "moons:sigma=nan", "moons:sigma=inf",
         "moons:rot=inf", "moons:rot=nan", "moons:sigma=1e308",
+        "moons:n=100000000000",  # fails at allocation without touching memory
     ])
     def test_bad_values_raise_a_package_error(self, spec):
         with pytest.raises(errors.ShapeError):
@@ -211,6 +213,15 @@ class TestConfigFile:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("[1, 2]")
         with pytest.raises(ParseError):
+            main(["adapt", "--ckpt", source_ckpt, "--target", "moons",
+                  "--config", str(cfg_path)])
+
+    @pytest.mark.parametrize("content", [b'{"k": 2,}', b"\xff\xfe{}"],
+                             ids=["trailing-comma", "not-utf8"])
+    def test_unreadable_config_names_the_file(self, source_ckpt, tmp_path, content):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(content)
+        with pytest.raises(ParseError, match=re.escape(str(cfg_path))):
             main(["adapt", "--ckpt", source_ckpt, "--target", "moons",
                   "--config", str(cfg_path)])
 

@@ -85,6 +85,11 @@ class TestMakeTwinMoons:
             with pytest.raises(ShapeError):
                 make_twin_moons(cfg)
 
+    def test_size_too_large_to_allocate_names_n_per_class(self):
+        # 10**11 points per class fail at allocation without touching memory
+        with pytest.raises(ShapeError, match="n_per_class"):
+            make_twin_moons(MoonsConfig(n_per_class=10**11))
+
 
 class TestRotateDataset:
     def test_is_isometry(self):

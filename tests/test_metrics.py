@@ -57,6 +57,19 @@ class TestClassificationReport:
         assert set(d) == {"accuracy", "per_class", "mean_per_class", "n_samples"}
         assert set(d["per_class"]) == {"0", "1"}
 
+    def test_work_does_not_grow_with_num_classes(self):
+        # one loop step per class present: 10**12 classes would take weeks
+        pred, truth = [0, 1, 0, 0, 1, 1], [0, 1, 1, 0, -1, 1]
+        rep = classification_report(pred, truth, 10**12)
+        assert rep == classification_report(pred, truth, 2)
+        assert all(type(c) is int for c in rep.per_class_accuracy)
+
+    def test_truth_at_or_above_num_classes_left_out_of_the_table(self):
+        rep = classification_report([0, 1, 5], [0, 1, 5], 2)
+        assert set(rep.per_class_accuracy) == {0, 1} and rep.accuracy == 1.0
+        rep = classification_report([0, 10**12], [0, 10**12], 10**12 + 1)
+        assert rep.per_class_accuracy == {0: 1.0, 10**12: 1.0}
+
 
 class TestSndScore:
     def test_identical_rows_hit_log_n_minus_one(self):

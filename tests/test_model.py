@@ -3,9 +3,9 @@ import pytest
 
 from sfdalab.errors import ConfigError, DivergenceError, InvalidInputError, ShapeError
 from sfdalab.model import (
+    PARAM_NAMES,
     MlpModel,
     backward,
-    flatten_grads,
     forward,
     get_flat_params,
     init_model,
@@ -97,8 +97,9 @@ class TestBackward:
     def test_zero_upstream_zero_grads(self):
         m = init_model(2, 4, 4, 3, seed=1)
         cache = forward(m, [[0.1, 0.2], [0.5, -0.5]])
-        grads = backward(m, cache, np.zeros_like(cache.P))
-        for g in grads.values():
+        grad = backward(m, cache, np.zeros_like(cache.P))
+        assert grad.shape == (m.n_params(),)
+        for g in m.views(grad).values():
             assert np.all(g == 0)
 
     def test_relu_subgradient_at_zero_is_zero(self):
@@ -106,7 +107,7 @@ class TestBackward:
         m.b1[0] = -2.0 * 0.7  # pre1 exactly 0 for x=0.7
         cache = forward(m, [[0.7]])
         assert cache.pre1[0, 0] == 0.0
-        grads = backward(m, cache, np.array([[1.0, -1.0]]))
+        grads = m.views(backward(m, cache, np.array([[1.0, -1.0]])))
         assert np.all(grads["W1"] == 0) and np.all(grads["b1"] == 0)
 
     def test_stale_cache_rejected(self):
@@ -122,7 +123,7 @@ class TestBackward:
         X = rng.normal(size=(6, 2))
         cache = forward(m, X)
         res = loss_of_P(cache.P)
-        analytic = flatten_grads(backward(m, cache, res.grad))
+        analytic = backward(m, cache, res.grad)
         probe = m.clone()
 
         def f(flat):
@@ -163,29 +164,27 @@ class TestSgdStep:
     def test_vanilla_step(self):
         m = init_model(1, 2, 2, 2, seed=0)
         before = get_flat_params(m).copy()
-        g = {k: np.ones_like(v) for k, v in m.params().items()}
-        sgd_step(m, g, lr=0.1, momentum=0.0)
+        sgd_step(m, np.ones(m.n_params()), lr=0.1, momentum=0.0)
         np.testing.assert_allclose(get_flat_params(m), before - 0.1, atol=1e-15)
 
     def test_zero_grad_noop(self):
         m = init_model(1, 2, 2, 2, seed=0)
         before = get_flat_params(m).copy()
-        sgd_step(m, {k: np.zeros_like(v) for k, v in m.params().items()},
-                 lr=0.1, momentum=0.9)
+        sgd_step(m, np.zeros(m.n_params()), lr=0.1, momentum=0.9)
         np.testing.assert_array_equal(get_flat_params(m), before)
 
     def test_momentum_two_steps(self):
         # v1 = g, v2 = 0.9 g + g -> total displacement lr*g*(1 + 1.9)
         m = init_model(1, 2, 2, 2, seed=0)
         before = get_flat_params(m).copy()
-        g = {k: np.full_like(v, 2.0) for k, v in m.params().items()}
+        g = np.full(m.n_params(), 2.0)
         sgd_step(m, g, lr=0.1, momentum=0.9)
         sgd_step(m, g, lr=0.1, momentum=0.9)
         np.testing.assert_allclose(get_flat_params(m), before - 0.1 * 2.0 * 2.9, atol=1e-12)
 
     def test_bad_lr_rejected(self):
         m = init_model(1, 2, 2, 2, seed=0)
-        g = {k: np.zeros_like(v) for k, v in m.params().items()}
+        g = np.zeros(m.n_params())
         with pytest.raises(ConfigError):
             sgd_step(m, g, lr=0.0, momentum=0.0)
         with pytest.raises(ConfigError):
@@ -194,23 +193,23 @@ class TestSgdStep:
     @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf])
     def test_non_finite_lr_rejected(self, lr):
         m = init_model(1, 2, 2, 2, seed=0)
-        g = {k: np.zeros_like(v) for k, v in m.params().items()}
+        g = np.zeros(m.n_params())
         with pytest.raises(ConfigError, match="lr"):
             sgd_step(m, g, lr=lr, momentum=0.0)
 
     def test_non_finite_grads_rejected(self):
         m = init_model(1, 2, 2, 2, seed=0)
-        g = {k: np.zeros_like(v) for k, v in m.params().items()}
-        g["W1"][0, 0] = np.nan
-        with pytest.raises(DivergenceError):
+        g = np.zeros(m.n_params())
+        m.views(g)["W1"][0, 0] = np.nan
+        with pytest.raises(DivergenceError, match="W1"):
             sgd_step(m, g, lr=0.1, momentum=0.0)
 
     def test_reset_velocity(self):
         m = init_model(1, 2, 2, 2, seed=0)
-        g = {k: np.ones_like(v) for k, v in m.params().items()}
-        sgd_step(m, g, lr=0.1, momentum=0.9)
+        sgd_step(m, np.ones(m.n_params()), lr=0.1, momentum=0.9)
+        assert (m.velocity != 0).all()
         m.reset_velocity()
-        assert all(np.all(v == 0) for v in m.velocity.values())
+        assert (m.velocity == 0).all()
 
 
 class TestCheckpoint:
@@ -225,12 +224,11 @@ class TestCheckpoint:
 
     def test_loaded_model_has_fresh_momentum(self, tmp_path):
         m = init_model(2, 3, 3, 2, seed=0)
-        g = {k: np.ones_like(v) for k, v in m.params().items()}
-        sgd_step(m, g, lr=0.1, momentum=0.9)
+        sgd_step(m, np.ones(m.n_params()), lr=0.1, momentum=0.9)
         p = tmp_path / "ckpt.json"
         save_checkpoint(m, p)
         m2 = load_checkpoint(p)
-        assert all(np.all(v == 0) for v in m2.velocity.values())
+        assert m2.velocity.shape == (m2.n_params(),) and (m2.velocity == 0).all()
 
     def test_version_field_checked(self, tmp_path):
         m = init_model(2, 3, 3, 2, seed=0)
@@ -283,3 +281,77 @@ class TestFlatParams:
         X = rng.normal(size=(10, 2))
         np.testing.assert_array_equal(predict_labels(m, X),
                                       np.argmax(forward(m, X).P, axis=1))
+
+
+class TestFlatLayout:
+    def test_each_parameter_is_a_view_of_theta(self):
+        m = init_model(3, 4, 5, 2, seed=1)
+        for name in PARAM_NAMES:
+            assert np.shares_memory(getattr(m, name), m.theta)
+            assert np.shares_memory(m.params()[name], m.theta)
+        np.testing.assert_array_equal(
+            m.theta, np.concatenate([getattr(m, k).ravel() for k in PARAM_NAMES]))
+        m.theta[-1] = 7.0
+        assert m.bc[-1] == 7.0
+
+    def test_parameters_cannot_be_rebound(self):
+        m = init_model(3, 4, 5, 2, seed=1)
+        with pytest.raises(AttributeError):
+            m.W1 = np.zeros((3, 4))
+
+    def test_views_name_the_parts_of_any_vector_in_the_layout(self):
+        m = init_model(3, 4, 5, 2, seed=1)
+        flat = np.arange(m.n_params(), dtype=np.float64)
+        parts = m.views(flat)
+        assert list(parts) == list(PARAM_NAMES)
+        for name, part in parts.items():
+            assert part.shape == getattr(m, name).shape
+            assert np.shares_memory(part, flat)
+        with pytest.raises(ShapeError):
+            m.views(flat[:-1])
+
+    def test_backward_concatenates_the_layer_gradients(self):
+        m = init_model(2, 4, 3, 3, seed=5)
+        cache = forward(m, [[0.2, -0.4], [1.0, 0.3], [-0.5, 0.9]])
+        dP = np.array([[0.1, -0.2, 0.3], [0.0, 0.5, -0.5], [1.0, 0.0, -1.0]])
+        grad = backward(m, cache, dP)
+        assert grad.shape == (m.n_params(),) and grad.dtype == np.float64
+        from sfdalab.model import softmax_vjp
+
+        dlogits = softmax_vjp(cache.P, dP)
+        np.testing.assert_array_equal(m.views(grad)["Wc"], cache.features.T @ dlogits)
+        np.testing.assert_array_equal(m.views(grad)["bc"], dlogits.sum(axis=0))
+
+    def test_clone_shares_no_memory_and_copies_velocity(self):
+        m = init_model(3, 4, 5, 2, seed=1)
+        sgd_step(m, np.linspace(-1.0, 1.0, m.n_params()), lr=0.1, momentum=0.9)
+        twin = m.clone()
+        assert not np.shares_memory(twin.theta, m.theta)
+        assert not np.shares_memory(twin.velocity, m.velocity)
+        for name in PARAM_NAMES:
+            assert np.shares_memory(getattr(twin, name), twin.theta)
+            assert not np.shares_memory(getattr(twin, name), m.theta)
+        assert twin.theta.tobytes() == m.theta.tobytes()
+        assert twin.velocity.tobytes() == m.velocity.tobytes()
+        assert twin.seed == m.seed
+        sgd_step(twin, np.ones(m.n_params()), lr=0.1, momentum=0.9)
+        assert not np.array_equal(twin.theta, m.theta)
+
+    def test_rejected_gradient_leaves_the_model_untouched(self):
+        # the only NaN sits in bc, the last parameter in the layout
+        m = init_model(3, 4, 5, 2, seed=1)
+        sgd_step(m, np.linspace(-1.0, 1.0, m.n_params()), lr=0.1, momentum=0.9)
+        theta, velocity = m.theta.tobytes(), m.velocity.tobytes()
+        g = np.ones(m.n_params())
+        m.views(g)["bc"][-1] = np.nan
+        with pytest.raises(DivergenceError, match="bc"):
+            sgd_step(m, g, lr=0.1, momentum=0.9)
+        assert m.theta.tobytes() == theta and m.velocity.tobytes() == velocity
+
+    @pytest.mark.parametrize("shape", [(316,), (318,), (1, 317), (317, 1)])
+    def test_wrong_gradient_shape_rejected(self, shape):
+        m = init_model(2, 15, 15, 2, seed=0)
+        theta = m.theta.tobytes()
+        with pytest.raises(ShapeError):
+            sgd_step(m, np.zeros(shape), lr=0.1, momentum=0.0)
+        assert m.theta.tobytes() == theta and (m.velocity == 0).all()
