@@ -78,11 +78,22 @@ def snd_score(P_target, tau: float = SND_TAU) -> float:
     temperature tau, and the mean row entropy is returned. Larger values
     indicate denser, more consistent prediction neighborhoods.
 
-    Each row's entropy depends on that row alone, so the similarity
-    matrix is built one block of rows at a time in reused work arrays,
-    with the steps of the n x n formulation. Only BLAS can tell the two
-    apart: it may round the last bit of a product differently for a row
-    in a call with another number of rows.
+    With U the unit rows, s_ij = u_i . u_j and m_i = max_{j != i} s_ij,
+    row i has weights w_ij = exp((s_ij - m_i) / tau), w_ii = 0, and
+    z_i = sum_j w_ij. Since sum_j w_ij s_ij = u_i . (W U)_i, its entropy is
+
+        H_i = log z_i - (u_i . (W U)_i - m_i z_i) / (tau z_i),
+
+    and both row sums come out of one product W @ [U | 1], whose last
+    column is z. The exponents are one product too:
+    [U / tau | -m / tau] @ [U | 1]^T. So a block of b rows makes five
+    passes over its one b x n work array: product (s), max (m), product
+    (exponents), exp (W) and product (W [U | 1]).
+
+    Each row's entropy depends on that row alone, so the blocks of
+    ``row_blocks`` give the n x n result. Only BLAS can tell them apart:
+    it may round the last bit of a product differently for a row in a
+    call with another number of rows.
     """
     P = as_matrix(P_target, "P_target")
     if P.shape[0] < 2:
@@ -90,22 +101,23 @@ def snd_score(P_target, tau: float = SND_TAU) -> float:
     if not (math.isfinite(tau) and tau > 0):
         raise ConfigError(f"tau must be finite and positive, got {tau!r}")
     U = l2_normalize_rows(P)
-    n = U.shape[0]
+    n, c = U.shape
+    U1T = np.vstack((U.T, np.ones(n)))            # [U | 1]^T, C-contiguous
     ent = np.empty(n)
     for lo, hi in row_blocks(n):
-        sims = np.matmul(U[lo:hi], U.T, out=scratch("snd.sims", (hi - lo, n)))
-        sims /= tau
+        blk = U[lo:hi]
+        work = np.matmul(blk, U1T[:c], out=scratch("snd.work", (hi - lo, n)))
         diag = (np.arange(hi - lo), np.arange(lo, hi))
-        sims[diag] = -np.inf
-        # softmax per row; exp(-inf) = 0 removes the diagonal cleanly.
-        # Row entropy via H = log z - sum(w * shifted) / z with w = exp(shifted),
-        # z = sum(w), which avoids materializing log(p) for every entry.
-        sims -= sims.max(axis=1, keepdims=True)
-        w = np.exp(sims, out=scratch("snd.w", sims.shape))
-        sims[diag] = 0.0  # clears the -inf before the product below
-        np.multiply(w, sims, out=sims)
-        z = w.sum(axis=1)
-        ent[lo:hi] = np.log(z) - sims.sum(axis=1) / z
+        work[diag] = -np.inf
+        m = work.max(axis=1)
+        lhs = np.hstack((blk / tau, (-m / tau)[:, None]))
+        np.matmul(lhs, U1T, out=work)             # (s_ij - m_i) / tau
+        work[diag] = -np.inf                      # w_ii = exp(-inf) = 0
+        np.exp(work, out=work)
+        wu1 = work @ U1T.T                        # [W U | z]
+        z = wu1[:, c]
+        dot = np.einsum("ij,ij->i", blk, wu1[:, :c])
+        ent[lo:hi] = np.log(z) - (dot - m * z) / (tau * z)
     return float(ent.mean())
 
 

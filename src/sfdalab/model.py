@@ -58,15 +58,18 @@ class MlpModel:
         self.seed = seed
         self._shapes = [np.shape(p) for p in parts]
         self._ends = np.cumsum([math.prod(s) for s in self._shapes])
+        self._spans = list(zip(PARAM_NAMES, (0, *self._ends[:-1].tolist()),
+                               self._ends.tolist(), self._shapes))
         self._params = self.views(self.theta)
+        self._grad = np.empty_like(self.theta)    # backward writes here
+        self._grad_parts = self.views(self._grad)
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Name -> reshaped view into ``flat``, a vector in the ``theta``
         layout: ``theta``, ``velocity`` or a gradient from ``backward``."""
         if flat.shape != self.theta.shape:
             raise ShapeError(f"expected a vector of shape {self.theta.shape}, got {flat.shape}")
-        parts = np.split(flat, self._ends[:-1])
-        return {k: v.reshape(s) for k, v, s in zip(PARAM_NAMES, parts, self._shapes)}
+        return {k: flat[lo:hi].reshape(s) for k, lo, hi, s in self._spans}
 
     def params(self) -> dict[str, np.ndarray]:
         return dict(self._params)
@@ -97,7 +100,8 @@ class ForwardCache:
 
 
 def init_model(d_in: int, h1: int, h_feat: int, n_classes: int, seed: int = 0) -> MlpModel:
-    """Glorot-uniform weights, zero biases, zero momentum; deterministic per seed."""
+    """Glorot-uniform weights, zero biases, zero momentum; deterministic per
+    seed. Dims whose arrays cannot be allocated raise ShapeError naming them."""
     for name, dim in (("d_in", d_in), ("h1", h1), ("h_feat", h_feat), ("n_classes", n_classes)):
         if dim < 1:
             raise ConfigError(f"{name} must be >= 1, got {dim}")
@@ -107,15 +111,19 @@ def init_model(d_in: int, h1: int, h_feat: int, n_classes: int, seed: int = 0) -
         a = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-a, a, size=(fan_in, fan_out))
 
-    return MlpModel(
-        W1=glorot(d_in, h1),
-        b1=np.zeros(h1),
-        W2=glorot(h1, h_feat),
-        b2=np.zeros(h_feat),
-        Wc=glorot(h_feat, n_classes),
-        bc=np.zeros(n_classes),
-        seed=seed,
-    )
+    try:
+        return MlpModel(
+            W1=glorot(d_in, h1),
+            b1=np.zeros(h1),
+            W2=glorot(h1, h_feat),
+            b2=np.zeros(h_feat),
+            Wc=glorot(h_feat, n_classes),
+            bc=np.zeros(n_classes),
+            seed=seed,
+        )
+    except MemoryError:
+        raise ShapeError(f"a model with d_in {d_in}, h1 {h1}, h_feat {h_feat} and "
+                         f"n_classes {n_classes} is too large to allocate") from None
 
 
 def forward(model: MlpModel, X) -> ForwardCache:
@@ -139,7 +147,11 @@ def softmax_vjp(P: np.ndarray, dP: np.ndarray) -> np.ndarray:
 
 def backward(model: MlpModel, cache: ForwardCache, dL_dP) -> np.ndarray:
     """Exact parameter gradient of any scalar loss given its gradient w.r.t.
-    P, as one vector in the ``theta`` layout."""
+    P, as one vector in the ``theta`` layout.
+
+    Each layer's products and sums are written straight into the model's
+    gradient vector through its ``views``; the caller gets a copy of it,
+    so a later call does not change an earlier result."""
     dL_dP = as_matrix(dL_dP, "dL_dP")
     if dL_dP.shape != cache.P.shape:
         raise ShapeError(f"dL_dP shape {dL_dP.shape} does not match predictions {cache.P.shape}")
@@ -147,17 +159,18 @@ def backward(model: MlpModel, cache: ForwardCache, dL_dP) -> np.ndarray:
             or cache.hidden.shape[1] != model.h1 or cache.features.shape[1] != model.h_feat:
         raise ShapeError("cache shapes do not match this model (stale cache)")
 
+    g = model._grad_parts
     dlogits = softmax_vjp(cache.P, dL_dP)
-    dWc = cache.features.T @ dlogits
-    dbc = dlogits.sum(axis=0)
+    np.matmul(cache.features.T, dlogits, out=g["Wc"])
+    dlogits.sum(axis=0, out=g["bc"])
     dZ = dlogits @ model.Wc.T
-    dW2 = cache.hidden.T @ dZ
-    db2 = dZ.sum(axis=0)
+    np.matmul(cache.hidden.T, dZ, out=g["W2"])
+    dZ.sum(axis=0, out=g["b2"])
     dH = dZ @ model.W2.T
     dpre1 = dH * (cache.pre1 > 0.0)  # ReLU'(0) := 0
-    dW1 = cache.X.T @ dpre1
-    db1 = dpre1.sum(axis=0)
-    return np.concatenate((dW1, db1, dW2, db2, dWc, dbc), axis=None)
+    np.matmul(cache.X.T, dpre1, out=g["W1"])
+    dpre1.sum(axis=0, out=g["b1"])
+    return model._grad.copy()
 
 
 def sgd_step(model: MlpModel, grad, lr: float, momentum: float) -> MlpModel:

@@ -112,6 +112,16 @@ class TestPretrainCommand:
               "--epochs", "5"])
         assert "source accuracy" in capsys.readouterr().out
 
+    def test_label_too_large_to_allocate_names_n_classes(self, tmp_path):
+        # one label of 10^12 asks for a 15 x 10^12 classifier: numpy fails
+        # at allocation, without touching memory
+        data = tmp_path / "big.csv"
+        data.write_text("d=2,labels=1\n0.0,0.0,0\n1.0,0.5,1\n0.5,1.0,1000000000000\n")
+        out = tmp_path / "m.json"
+        with pytest.raises(errors.ShapeError, match="n_classes 1000000000001"):
+            main(["pretrain", "--data", str(data), "--out", str(out), "--epochs", "1"])
+        assert not out.exists()
+
     def test_zero_batch_size_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="batch_size"):
             main(["pretrain", "--data", "moons:n=20,seed=1", "--out", str(tmp_path / "m.json"),

@@ -6,10 +6,16 @@ These pin the exact floating-point behaviour of the adaptation loop, so a
 refactor or speed-up that claims "same results" can prove it. The values
 were recorded with numpy 2.4 on x86-64 (OpenBLAS 0.3.31); another BLAS
 build may round a matmul differently and legitimately change them. A
-deliberate behaviour change must re-record them and say why.
+deliberate behaviour change must re-record them and say why:
+
+    PYTHONPATH=src python tests/test_golden.py
+
+prints the hashes of the current code in the literal form of ``GOLDEN``.
 """
 
 import hashlib
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -27,28 +33,28 @@ BANKS = {"full": dict(bank_mode="full"), "ring128": dict(bank_mode="ring", ring_
 GOLDEN = {
     # (objective, beta, bank): (history sha256, checkpoint sha256)
     ("AaD", 0.25, "full"): (
-        "a2e33cbbbb80b9036824ea35803e9de182e4813baa5d08f9e7c8a64df1e1dfc6",
+        "a37580126c787275c8791e5b781bcdddfe71731aff6265d7801e0e7fbeca32b8",
         "2d8078d8b266e6d5db867661517724ba06cfce3031c9ecccc5f8553aee3b354f"),
     ("AttractOnly", 0.0, "full"): (
-        "9cc7a26e7b7eb9495487a0fe99e5f0246f5490938ce8af6e8ced757003798efb",
+        "7ec4d439a69a7857ee3e93bd52ea98a2bddf37c258e35038aff8d24418ce86e9",
         "33ad4c9f427e43d9128c04b1f586fa68da08f570f40ca91353604b60c8621057"),
     ("AaDNoDecay", 0.0, "full"): (
-        "9c69b183d513d6f54260343459093fd91e3b2aee54686212724daa8fe612775c",
+        "1738ac06fde794140912d817d305a742052490ddcb75ad7634321c8896c9d5b7",
         "efb906a87ef74462f64b5e60a3c99d055f79ebdfb54283b8cacc3ed091615b5b"),
     ("NC", 0.25, "full"): (
-        "a87011c39c551abfa0b8817804717c649882e2540e31ec682fba9c69ee1e7965",
+        "8d4b87978775e47ebbdc18f81378bad75b9e4da80c4adeeea5439aae11dc4fb9",
         "0d36209efd9065ca564d02198790c9a3d38deec50c4a14db4df9c7c7cf8107e6"),
     ("DisperseOnly", 0.25, "full"): (
-        "549020f6c1b012c10ab2c7f2394f1b09bffbc6bbd63091b9791140296aac0be2",
+        "eca3f6d372b7bf90f966fe2dc8e95772f993b438ab62e250dc34f5e7a3831313",
         "ed989f03bbf107a55c866b13a1ac8d05cd0eced5d683f746bf8c410a873648a5"),
     ("MI", 0.25, "full"): (
-        "dea0bb36fac59ca3ffdd746db17449b53f00823a131d431d2c46eb1d3b18495f",
+        "cc59fb0883c7ef9d27a30dfdf949fc1db6cfeb7f44d1aaf6393e798db5b33c80",
         "da07a85c42f0079b8da3b1844ee113472bb174a411aa724019d5cf3db07dadfa"),
     ("BNM", 0.25, "full"): (
-        "4a04d88c9abfd300a8f624251647079cd16c43a40cab338ac36b14b9ee5b6e40",
+        "7f0b76e7e3ed0222450ff7bc6793525fea2fc14ea32fee7600d38a011021f4b6",
         "ab503a4d29f670149c890df156c99582f4c2df69a413ada4d265e3149e96c333"),
     ("AaD", 0.25, "ring128"): (
-        "1a9e31c466d133693e9a0be1136171d962fb6e9a617b487ea4b2d3db943e74dd",
+        "f8114cb859ad299ae3c78a66c1b8e5d60137405bd0231f4a8dae433caf2868e4",
         "ab3d28bfdade32898a5d676cd6ca094c74317a324d617a49fc182e1c0d6c8d49"),
 }
 
@@ -57,12 +63,16 @@ def cases(bank):
     return [(objective, beta) for objective, beta, b in GOLDEN if b == bank]
 
 
-@pytest.fixture(scope="module")
-def seed0_pretrained():
+def pretrained_seed0():
     src = make_twin_moons(MoonsConfig(n_per_class=300, noise_sigma=0.1, seed=0))
     tgt = rotate_dataset(src, 30.0)
     model, _ = pretrain_source(init_model(2, 15, 15, 2, seed=0), src, seed=0, **PRETRAIN)
     return model, tgt
+
+
+@pytest.fixture(scope="module")
+def seed0_pretrained():
+    return pretrained_seed0()
 
 
 def run_hashes(model, target, objective, beta, bank, tmp_path):
@@ -91,3 +101,21 @@ def test_full_mode_golden_hashes(seed0_pretrained, tmp_path, objective, beta):
 @pytest.mark.parametrize("objective,beta", cases("ring128"))
 def test_ring_mode_golden_hashes(seed0_pretrained, tmp_path, objective, beta):
     check_hashes(seed0_pretrained, tmp_path, objective, beta, "ring128")
+
+
+def print_golden():
+    """Print every case's current (history, checkpoint) hashes as GOLDEN's literal."""
+    model, target = pretrained_seed0()
+    print("GOLDEN = {")
+    print("    # (objective, beta, bank): (history sha256, checkpoint sha256)")
+    with tempfile.TemporaryDirectory() as tmp:
+        for objective, beta, bank in GOLDEN:
+            hist_h, ckpt_h = run_hashes(model, target, objective, beta, bank, Path(tmp))
+            print(f'    ("{objective}", {beta!r}, "{bank}"): (')
+            print(f'        "{hist_h}",')
+            print(f'        "{ckpt_h}"),')
+    print("}")
+
+
+if __name__ == "__main__":
+    print_golden()

@@ -160,6 +160,40 @@ class TestSndScore:
         assert scores[0] == pytest.approx(scores[2], rel=1e-13)
         assert scores[1] == pytest.approx(scores[2], rel=1e-13)
 
+    @staticmethod
+    def long_double_snd(P, tau):
+        """SND from the whole n x n similarity matrix in extended precision,
+        as the mean of -sum p log p over log-softmax rows."""
+        U = P.astype(np.longdouble)
+        U /= np.sqrt((U * U).sum(axis=1, keepdims=True))
+        S = U @ U.T / np.longdouble(tau)
+        np.fill_diagonal(S, -np.inf)
+        S -= S.max(axis=1, keepdims=True)
+        logp = S - np.log(np.exp(S).sum(axis=1, keepdims=True))
+        p = np.exp(logp)
+        return float(-np.where(p > 0, p * np.where(p > 0, logp, 0.0), 0.0).sum(axis=1).mean())
+
+    @given(st.integers(2, 300), st.integers(2, 6), st.floats(5e-4, 50.0),
+           st.integers(1, 400), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_a_long_double_oracle(self, n, c, tau, distinct, near_one_hot, seed):
+        # rows drawn from a pool, so small pools give duplicate rows; a
+        # near-one-hot pool puts nearly all of each row's mass on one class.
+        # Each row's entropy is log z - (u.(WU) - m z) / (tau z): the
+        # difference cancels, so the rounding of its n-term sums and c-term
+        # dot products, each of size up to 1 / tau, is met in absolute
+        # terms. That is what lets an entropy of 0 be compared at all.
+        rng = np.random.default_rng(seed)
+        pool = rng.dirichlet(np.full(c, 0.3), size=distinct)
+        if near_one_hot:
+            pool *= 10.0 ** rng.uniform(-12, -2, size=(distinct, 1))
+            pool[np.arange(distinct), rng.integers(0, c, size=distinct)] += 1.0
+            pool /= pool.sum(axis=1, keepdims=True)
+        P = pool[rng.integers(0, distinct, size=n)]
+        eps = np.finfo(np.float64).eps
+        assert snd_score(P, tau) == pytest.approx(self.long_double_snd(P, tau),
+                                                  rel=1e-12, abs=2 * (n + c) * eps / tau)
+
 
 def bank_from(feats, preds):
     n = feats.shape[0]

@@ -56,6 +56,12 @@ class TestInitModel:
         with pytest.raises(ConfigError):
             init_model(0, 5, 5, 2, seed=0)
 
+    @pytest.mark.parametrize("dims", [(2, 15, 15, 10**12), (2, 10**12, 15, 2)])
+    def test_dims_too_large_to_allocate_raise_a_shape_error(self, dims):
+        # fails at allocation, without touching memory
+        with pytest.raises(ShapeError, match=f"h1 {dims[1]}, .* n_classes {dims[3]} is too large"):
+            init_model(*dims, seed=0)
+
 
 class TestForward:
     def test_zero_weights_uniform(self):
@@ -109,6 +115,15 @@ class TestBackward:
         assert cache.pre1[0, 0] == 0.0
         grads = m.views(backward(m, cache, np.array([[1.0, -1.0]])))
         assert np.all(grads["W1"] == 0) and np.all(grads["b1"] == 0)
+
+    def test_a_later_call_leaves_an_earlier_gradient_alone(self):
+        m = init_model(2, 4, 4, 3, seed=1)
+        cache = forward(m, [[0.1, 0.2], [0.5, -0.5]])
+        first = backward(m, cache, np.ones_like(cache.P) - cache.P)
+        kept = first.copy()
+        second = backward(m, cache, np.zeros_like(cache.P))
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == kept.tobytes() and not (second != 0).any()
 
     def test_stale_cache_rejected(self):
         m = init_model(2, 4, 4, 3, seed=1)
