@@ -117,7 +117,9 @@ def snd_score(P_target, tau: float = SND_TAU) -> float:
         wu1 = work @ U1T.T                        # [W U | z]
         z = wu1[:, c]
         dot = np.einsum("ij,ij->i", blk, wu1[:, :c])
-        ent[lo:hi] = np.log(z) - (dot - m * z) / (tau * z)
+        # the difference cancels for concentrated rows, so rounding can
+        # leave an entropy a few ulps below 0; no entropy is negative
+        ent[lo:hi] = np.maximum(np.log(z) - (dot - m * z) / (tau * z), 0.0)
     return float(ent.mean())
 
 

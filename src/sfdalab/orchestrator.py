@@ -2,9 +2,14 @@
 and the decay-exponent sweep with SND-based selection.
 
 The adaptation loop follows a fixed per-iteration order: forward the
-batch, write its features and predictions into the memory bank, then
-retrieve each sample's nearest neighbors (never itself), evaluate the
-configured objective, and take one SGD step. The bank is seeded with a
+batch, retrieve each sample's nearest neighbors (never itself) when the
+objective uses them, evaluate the configured objective, and take one SGD
+step. Bank writes follow one rule, write before read: a batch's
+features and predictions reach the memory bank right before the bank is
+next read, that is before the step's retrieval for objectives with
+neighbors, and otherwise in one write of the whole epoch, oldest first,
+before the epoch's evaluation. Either way the bank holds what writing
+each batch as it is forwarded would leave. The bank is seeded with a
 full forward pass before the first iteration, so retrieval always sees
 every sample (full mode) or the most recent writes (ring mode).
 
@@ -204,6 +209,12 @@ def pretrain_source(model: MlpModel, source: Dataset, epochs: int, lr: float,
 def adapt(model: MlpModel, target: Dataset, cfg: AdaptConfig) -> tuple[MlpModel, RunHistory]:
     """Adapt a source-pretrained model to unlabeled target data.
 
+    Each step forwards its batch and queues the batch's ids, features and
+    predictions; the queue is written to the bank just before the bank is
+    read. An objective with neighbors writes its batch right before
+    retrieving; the others write the whole epoch in one ``update`` right
+    before the epoch's evaluation, which is the only reader of their bank.
+
     The recorded lambda is the dispersion weight actually applied: the
     objective's fixed weight (0 for AttractOnly, 1 for AaDNoDecay), else
     the schedule value, which objectives without a dispersion term record
@@ -213,9 +224,10 @@ def adapt(model: MlpModel, target: Dataset, cfg: AdaptConfig) -> tuple[MlpModel,
     the objective, the epoch and the iteration within it. Target data and
     config are checked at entry, so a non-finite value inside a step is
     divergence: ``InvalidInputError`` and ``DivergenceError`` are re-raised
-    as ``DivergenceError``, other errors keep their type. The model is not
-    rolled back: it keeps the updates of the steps before the failing one,
-    and the failing step leaves it as it was.
+    as ``DivergenceError``, other errors keep their type. An error from
+    the end-of-epoch bank write names the objective and the epoch. The
+    model is not rolled back: it keeps the updates of the steps before the
+    failing one, and the failing step leaves it as it was.
     """
     cfg.validate()
     n = len(target)
@@ -235,17 +247,19 @@ def adapt(model: MlpModel, target: Dataset, cfg: AdaptConfig) -> tuple[MlpModel,
     model.reset_velocity()
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     history = RunHistory()
+    pending = []    # (ids, features, predictions) of the steps not yet in the bank
     it = 0
     for epoch in range(cfg.epochs):
         for b, idx in enumerate(_minibatches(rng, n, cfg.batch_size)):
             try:
                 cache = forward(model, target.X[idx])
-                bank.update(idx, cache.features, cache.P)
+                pending.append((idx, cache.features, cache.P))
                 lam = objective.lam
                 if lam is None:
                     lam = lambda_schedule(it, max_iter, cfg.beta)
                 nbr_preds = no_neighbors
                 if objective.needs_neighbors:
+                    _write_pending(bank, pending)
                     _, _, nbr_preds = bank.knn_batch(cache.features, cfg.k, exclude_ids=idx)
                 res = objective.loss(cache.P, nbr_preds, lam)
                 grad = backward(model, cache, res.grad)
@@ -255,8 +269,24 @@ def adapt(model: MlpModel, target: Dataset, cfg: AdaptConfig) -> tuple[MlpModel,
             history.loss.append(res.value)
             history.lam.append(lam)
             it += 1
+        try:
+            _write_pending(bank, pending)
+        except ValueError as exc:
+            raise _step_error(exc, f"{cfg.objective}, epoch {epoch}") from exc
         _record_epoch(history, model, target, bank, cfg, has_labels)
     return model, history
+
+
+def _write_pending(bank, pending) -> None:
+    """Write the queued steps to the bank in one update, oldest first, and
+    empty the queue. An epoch's batches hold distinct ids and ``update``
+    treats rows one at a time, so this leaves the bank as writing each
+    step on its own would. One queued step is written as it is, uncopied."""
+    if len(pending) == 1:
+        bank.update(*pending[0])
+    elif pending:
+        bank.update(*(np.concatenate(part) for part in zip(*pending)))
+    pending.clear()
 
 
 def _record_epoch(history, model, target, bank, cfg, has_labels) -> None:
@@ -284,7 +314,8 @@ def sweep_beta(model: MlpModel, target: Dataset, betas, base_cfg: AdaptConfig,
 
     Returns (runs, table): one run row per pair with final SND and
     accuracy, and one table row per beta with seed-averaged values, the
-    argmax-SND row flagged (ties go to the smaller beta).
+    argmax-SND row flagged (ties go to the smaller beta). Every run's
+    config is checked, and ``epochs >= 1`` required, before the first run.
     """
     betas = list(betas)
     seeds = list(seeds)
@@ -292,15 +323,17 @@ def sweep_beta(model: MlpModel, target: Dataset, betas, base_cfg: AdaptConfig,
         raise ConfigError("betas must be nonempty")
     if not seeds:
         raise ConfigError("seeds must be nonempty")
+    if base_cfg.epochs < 1:
+        raise ConfigError("sweep needs epochs >= 1 to score runs")
+    cfgs = [replace(base_cfg, beta=float(beta), seed=int(seed), objective="AaD")
+            for seed in seeds for beta in betas]
+    for cfg in cfgs:
+        cfg.validate()
     runs = []
-    for seed in seeds:
-        for beta in betas:
-            cfg = replace(base_cfg, beta=float(beta), seed=int(seed), objective="AaD")
-            _, hist = adapt(model.clone(), target, cfg)
-            if not hist.snd:
-                raise ConfigError("sweep needs epochs >= 1 to score runs")
-            runs.append({"beta": float(beta), "seed": int(seed),
-                         "snd": hist.snd[-1], "acc": hist.acc[-1]})
+    for cfg in cfgs:
+        _, hist = adapt(model.clone(), target, cfg)
+        runs.append({"beta": cfg.beta, "seed": cfg.seed,
+                     "snd": hist.snd[-1], "acc": hist.acc[-1]})
     table = []
     for beta in betas:
         rows = [r for r in runs if r["beta"] == float(beta)]

@@ -123,6 +123,54 @@ class TestUpdate:
             assert b.features[slot, 0] == sid + 100 * j
 
 
+@st.composite
+def batch_runs(draw):
+    """A bank layout and the id batches of the writes that follow its seed
+    write of every id: in full mode a permutation of the ids cut into
+    batches (what an epoch writes), in ring mode any ids, so batches
+    repeat ids and their total may pass the capacity."""
+    mode = draw(st.sampled_from(MODES))
+    pool = draw(st.integers(1, 40))
+    capacity = pool if mode == "full" else draw(st.integers(1, 30))
+    n_batches = draw(st.integers(1, 6))
+    if mode == "full":
+        ids = draw(st.permutations(range(pool)))
+        cuts = sorted(draw(st.lists(st.integers(0, pool), min_size=n_batches - 1,
+                                    max_size=n_batches - 1)))
+        batches = [ids[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, pool])]
+    else:
+        batches = [draw(st.lists(st.integers(0, pool - 1), max_size=12))
+                   for _ in range(n_batches)]
+    return mode, capacity, pool, batches, draw(st.integers(0, 2**32 - 1))
+
+
+class TestBatchedWrites:
+    @given(batch_runs())
+    @settings(max_examples=200, deadline=None)
+    def test_one_write_of_the_concatenation_equals_one_write_per_batch(self, case):
+        mode, capacity, pool, batches, seed = case
+        rng = np.random.default_rng(seed)
+
+        def rows(n):
+            # normal, zero, tiny and huge rows, so every unit_rows branch runs
+            scale = rng.choice([1.0, 0.0, 1e-170, 1e200], size=(n, 1))
+            return rng.standard_normal((n, 3)) * scale, rng.dirichlet(np.ones(4), size=n)
+
+        writes = [(np.asarray(ids, dtype=np.int64), *rows(len(ids))) for ids in batches]
+        one_by_one, at_once = (MemoryBank(mode, capacity, 3, 4) for _ in range(2))
+        seed_write = (np.arange(pool), *rows(pool))
+        for b in (one_by_one, at_once):
+            b.update(*seed_write)
+        for write in writes:
+            one_by_one.update(*write)
+        at_once.update(*(np.concatenate(part) for part in zip(*writes)))
+
+        for name in ("features", "unit", "zero_norm", "predictions", "sample_ids"):
+            got, want = getattr(at_once, name), getattr(one_by_one, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert (at_once.cursor, at_once.filled) == (one_by_one.cursor, one_by_one.filled)
+
+
 class TestKnn:
     def test_hand_cosine_example(self):
         b = MemoryBank("full", 3, 2, 2)

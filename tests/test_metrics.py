@@ -109,6 +109,13 @@ class TestSndScore:
         ent = -np.sum(np.where(W > 0, W * np.log(np.where(W > 0, W, 1.0)), 0.0), axis=1)
         assert snd_score(P, tau) == pytest.approx(float(ent.mean()), rel=1e-12)
 
+    def test_never_below_zero(self):
+        # each row's nearest row is its exact copy, so at tau = 1e-3 every
+        # entropy is all but 0, and the cancellation in
+        # log z - (u.(WU) - m z) / (tau z) rounds some of them below 0
+        P = np.repeat(np.random.default_rng(0).dirichlet(np.full(5, 0.2), size=3), 2, axis=0)
+        assert snd_score(P, 1e-3) >= 0.0
+
     def test_input_validation(self):
         with pytest.raises(InsufficientDataError):
             snd_score(np.array([[1.0, 0.0]]))

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from sfdalab import numerics
+from sfdalab import numerics, orchestrator
 from sfdalab.bank import MemoryBank
 from sfdalab.datasets import Dataset, MoonsConfig, make_twin_moons, rotate_dataset
 from sfdalab.errors import ConfigError, DivergenceError, InvalidInputError, ShapeError
@@ -216,10 +216,46 @@ class TestAdapt:
         _, hist = adapt(model, tgt, small_cfg(objective=objective, epochs=1))
         assert len(hist.loss) > 0 and np.isfinite(hist.loss).all()
 
-    def test_step_error_names_objective_epoch_and_iteration(self):
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_step_error_names_objective_epoch_and_iteration(self, objective):
         model, tgt = pretrained()
-        with pytest.raises(DivergenceError, match=r"AaD, epoch 0, iteration \d+: "):
-            adapt(model, tgt, small_cfg(epochs=1, lr=1e300))
+        with pytest.raises(DivergenceError, match=rf"{objective}, epoch 0, iteration \d+: "):
+            adapt(model, tgt, small_cfg(objective=objective, epochs=1, lr=1e300))
+
+    def test_epoch_write_error_names_objective_and_epoch(self, monkeypatch):
+        model, tgt = pretrained()
+        update = MemoryBank.update
+
+        def failing_update(self, ids, feats, preds):
+            if self.filled:  # every write after the seed write
+                raise InvalidInputError("predictions contains non-finite entries")
+            return update(self, ids, feats, preds)
+
+        monkeypatch.setattr(MemoryBank, "update", failing_update)
+        with pytest.raises(DivergenceError, match=r"^MI, epoch 0: predictions"):
+            adapt(model, tgt, small_cfg(objective="MI", epochs=1))
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_bank_written_once_per_read(self, objective, monkeypatch):
+        # objectives with neighbors write each step before retrieving;
+        # the others write each epoch once, before its evaluation; both
+        # after the seed write
+        calls = []
+        update = MemoryBank.update
+
+        def counting_update(self, ids, feats, preds):
+            calls.append(len(ids))
+            return update(self, ids, feats, preds)
+
+        monkeypatch.setattr(MemoryBank, "update", counting_update)
+        model, tgt = pretrained()
+        cfg = small_cfg(objective=objective, epochs=3)
+        adapt(model, tgt, cfg)
+        steps = len(tgt) // cfg.batch_size
+        if objective in ("MI", "BNM", "DisperseOnly"):
+            assert calls == [len(tgt)] + [steps * cfg.batch_size] * cfg.epochs
+        else:
+            assert calls == [len(tgt)] + [cfg.batch_size] * (steps * cfg.epochs)
 
     def test_adaptation_improves_target_accuracy(self):
         model, tgt = pretrained(seed=0, n=100)
@@ -299,6 +335,20 @@ class TestSweepBeta:
         model, tgt = pretrained()
         with pytest.raises(ConfigError):
             sweep_beta(model, tgt, [1.0], small_cfg(epochs=0), seeds=[0])
+
+    @pytest.mark.parametrize("betas,cfg_kw", [
+        ([0.0, 1.0, float("nan")], {}),
+        ([0.0, 1.0, -1.0], {}),
+        ([1.0], {"epochs": 0}),
+        ([1.0], {"lr": float("inf")}),
+    ])
+    def test_bad_input_rejected_before_the_first_run(self, betas, cfg_kw, monkeypatch):
+        runs = []
+        monkeypatch.setattr(orchestrator, "adapt", lambda *a: runs.append(a))
+        model, tgt = pretrained()
+        with pytest.raises(ConfigError):
+            sweep_beta(model, tgt, betas, small_cfg(**cfg_kw), seeds=[0, 1])
+        assert runs == []
 
     def test_csv_export(self, tmp_path):
         table = [
