@@ -9,11 +9,15 @@ lower sample id, so results are deterministic; a zero-norm row, or every
 row for a zero-norm query, has a similarity below every cosine.
 
 Next to each feature row the bank keeps its unit-norm copy, written once
-by ``update``, so a cosine is one product of unit rows and a retrieval
-normalises only its queries.
+by ``update``, so a cosine is one product of unit rows. A retrieval
+normalises only queries it does not hold: queries that are the stored
+rows of their excluded ids (the batch just written, or a snapshot of the
+bank) reuse the stored unit rows, which are the same bits.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -25,6 +29,23 @@ MODES = ("full", "ring")
 # Similarity of a zero-norm row to any query, and of a zero-norm query to
 # any row: below every cosine, so such rows rank last, in id order.
 _FLOOR_SIMILARITY = -2.0
+
+
+def _sample_ids(sample_ids) -> np.ndarray:
+    """``sample_ids`` as a flat int64 array; ids that are not integers
+    raise ``InvalidInputError`` instead of being truncated."""
+    ids = np.asarray(sample_ids)
+    if ids.dtype.kind in "iu":  # the common case costs one dtype test
+        return ids.astype(np.int64, copy=False).ravel()
+    try:
+        with np.errstate(invalid="ignore"):
+            as_int = ids.astype(np.int64)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"sample ids must be integers, got dtype {ids.dtype}") from None
+    wrong = ids != as_int
+    if wrong.any():
+        raise InvalidInputError(f"sample ids must be integers, got {ids[wrong][:5].tolist()}")
+    return as_int.ravel()
 
 
 class MemoryBank:
@@ -62,19 +83,19 @@ class MemoryBank:
         so the last write of an id wins. Each written slot also gets the
         unit-norm copy of its feature row and its zero-norm flag, which
         retrieval reads instead of normalising the stored rows again."""
-        ids = np.asarray(sample_ids, dtype=np.int64).ravel()
+        ids = _sample_ids(sample_ids)
         feats = as_matrix(features, "features")
         preds = require_simplex_rows(predictions, tol=1e-6, name="predictions")
         if not (len(ids) == feats.shape[0] == preds.shape[0]):
             raise ShapeError("sample_ids, features and predictions must be row-aligned")
         if feats.shape[1] != self.feat_dim or preds.shape[1] != self.n_classes:
             raise ShapeError("row width does not match bank layout")
-        if (ids < 0).any():
+        if ids.min(initial=0) < 0:
             raise InvalidInputError("sample ids must be non-negative")
         unit, zero = unit_rows(feats)
 
         if self.mode == "full":
-            if (ids >= self.capacity).any():
+            if ids.max(initial=0) >= self.capacity:
                 raise IndexError("sample id exceeds full-mode bank capacity")
             self.features[ids] = feats
             self.unit[ids] = unit
@@ -84,32 +105,36 @@ class MemoryBank:
         elif ids.size:
             # only the last `capacity` rows of the batch survive its own
             # writes; a batch that long overwrites every slot
-            rows = np.arange(max(0, len(ids) - self.capacity), len(ids))
-            slots = (self.cursor + rows) % self.capacity
-            kept = ids[rows]
+            cap = self.capacity
+            kept, feats, unit, zero, preds = ids[-cap:], feats[-cap:], unit[-cap:], zero[-cap:], preds[-cap:]
+            # the kept rows go to slots start, ..., end - 1 (mod capacity)
+            end = self.cursor + ids.size
+            start = end - kept.size
+            slots = slice(start, end) if end <= cap else np.arange(start, end) % cap
             order = np.argsort(kept, kind="stable")
-            written = kept[order]
+            written = kept.take(order)
             # clear the slots of older copies of the written ids
-            pos = np.minimum(np.searchsorted(written, self.sample_ids), written.size - 1)
-            self.sample_ids[written[pos] == self.sample_ids] = -1
-            self.features[slots] = feats[rows]
-            self.unit[slots] = unit[rows]
-            self.zero_norm[slots] = zero[rows]
-            self.predictions[slots] = preds[rows]
+            older = written.take(np.searchsorted(written, self.sample_ids), mode="clip")
+            self.sample_ids[older == self.sample_ids] = -1
+            self.features[slots] = feats
+            self.unit[slots] = unit
+            self.zero_norm[slots] = zero
+            self.predictions[slots] = preds
             self.sample_ids[slots] = kept
             # the stable order puts an id's last write last among its copies
-            earlier = np.flatnonzero(written[:-1] == written[1:])
-            self.sample_ids[slots[order[earlier]]] = -1
-            self.cursor = (self.cursor + len(ids)) % self.capacity
+            earlier = written[:-1] == written[1:]
+            if earlier.any():
+                self.sample_ids[(start + order[:-1][earlier]) % cap] = -1
+            self.cursor = end % cap
         self.filled = int(np.count_nonzero(self.sample_ids >= 0))
         return self
 
     def occupied(self) -> np.ndarray:
         """Slot indices currently holding data, sorted by stored sample id."""
-        slots = np.flatnonzero(self.sample_ids >= 0)
         if self.mode == "full":
-            return slots  # slot == sample id, so slot order is id order
-        return slots[np.argsort(self.sample_ids[slots], kind="stable")]
+            return np.flatnonzero(self.sample_ids >= 0)  # slot == sample id
+        # empty slots hold id -1, so they sort first
+        return np.argsort(self.sample_ids, kind="stable")[self.capacity - self.filled:]
 
     def knn_batch(self, queries, k: int, exclude_ids=None):
         """Vectorized KNN for a batch of query features.
@@ -118,7 +143,8 @@ class MemoryBank:
         feature/prediction arrays are value snapshots detached from the bank.
         """
         slots = self.knn_slots(queries, k, exclude_ids)
-        return self.sample_ids[slots], self.features[slots], self.predictions[slots]
+        return (self.sample_ids.take(slots), self.features.take(slots, axis=0),
+                self.predictions.take(slots, axis=0))
 
     def knn_slots(self, queries, k: int, exclude_ids=None) -> np.ndarray:
         """Bank slots (n, k) of each query's K nearest stored rows, nearest first.
@@ -133,6 +159,10 @@ class MemoryBank:
         (``numerics.unit_rows``, which rescales rows with tiny or huge
         entries first, so their cosines neither underflow nor overflow).
         """
+        try:
+            k = operator.index(k)
+        except TypeError:
+            raise ConfigError(f"k must be an integer, got {k!r}") from None
         if k < 1:
             raise ConfigError("k must be >= 1")
         Q = as_matrix(queries, "queries")
@@ -145,10 +175,10 @@ class MemoryBank:
             cand_ids, cand_unit, zero_cands = self.sample_ids, self.unit, self.zero_norm
         else:
             slots = self.occupied()
-            cand_ids, cand_unit = self.sample_ids[slots], self.unit[slots]
-            zero_cands = self.zero_norm[slots]
+            cand_ids, cand_unit = self.sample_ids.take(slots), self.unit.take(slots, axis=0)
+            zero_cands = self.zero_norm.take(slots)
         nq, n = Q.shape[0], cand_ids.size
-        Q, zero_queries = unit_rows(Q)
+        zero_queries = None
 
         # candidates are in id order and hold each id once, so query r's
         # excluded id, if stored, sits at position pos[r]
@@ -156,8 +186,25 @@ class MemoryBank:
             excl = np.asarray(exclude_ids, dtype=np.int64).ravel()
             if excl.size != nq:
                 raise ShapeError("exclude_ids must supply one id per query row")
-            pos = np.searchsorted(cand_ids, excl)
-            hit = np.flatnonzero(cand_ids[np.minimum(pos, n - 1)] == excl)
+            if slots is None:
+                pos = excl  # the position of an id is the id itself
+                hit = np.flatnonzero((excl >= 0) & (excl < n))
+            else:
+                pos = np.searchsorted(cand_ids, excl)
+                hit = np.flatnonzero(cand_ids.take(pos, mode="clip") == excl)
+            # Queries that are the stored rows of their excluded ids (the
+            # batch just written, or a snapshot) take the stored unit rows:
+            # unit_rows works row by row, so these are the bits it would
+            # return. (== holds between -0.0 and 0.0; those unit rows give
+            # cosines that differ at most in the sign of a zero, which
+            # ranks the same.)
+            if hit.size == nq:
+                stored = pos if slots is None else slots.take(pos)
+                if (self.features.take(stored, axis=0) == Q).all():
+                    Q, zero_queries = self.unit.take(stored, axis=0), self.zero_norm.take(stored)
+        if zero_queries is None:
+            Q, zero_queries = unit_rows(Q)
+        floor_cands, floor_queries = zero_cands.any(), zero_queries.any()
 
         # Each query ranks its own row of similarities, so queries go in
         # blocks of rows through reused work arrays. argmax returns the
@@ -169,18 +216,21 @@ class MemoryBank:
         order = np.empty((nq, k), dtype=np.int64)
         for lo, hi in row_blocks(nq):
             sims = np.matmul(Q[lo:hi], cand_unit.T, out=scratch("knn.sims", (hi - lo, n)))
-            sims[:, zero_cands] = _FLOOR_SIMILARITY
-            sims[zero_queries[lo:hi], :] = _FLOOR_SIMILARITY
+            if floor_cands:
+                sims[:, zero_cands] = _FLOOR_SIMILARITY
+            if floor_queries:
+                sims[zero_queries[lo:hi], :] = _FLOOR_SIMILARITY
             if exclude_ids is not None:
                 rows = hit[np.searchsorted(hit, lo):np.searchsorted(hit, hi)]
                 sims[rows - lo, pos[rows]] = -np.inf
-            qrows = np.arange(hi - lo)
+            row_starts = np.arange(0, (hi - lo) * n, n)  # flat index of each row's first entry
             for j in range(k):
-                order[lo:hi, j] = best = np.argmax(sims, axis=1)
-                sims[qrows, best] = -np.inf
-        return order if slots is None else slots[order]
+                best = sims.argmax(axis=1, out=order[lo:hi, j])
+                sims.put(best + row_starts, -np.inf)
+        return order if slots is None else slots.take(order)
 
     def snapshot(self):
         """(ids, features, predictions) copies of the occupied rows, id order."""
         slots = self.occupied()
-        return self.sample_ids[slots], self.features[slots], self.predictions[slots]
+        return (self.sample_ids.take(slots), self.features.take(slots, axis=0),
+                self.predictions.take(slots, axis=0))

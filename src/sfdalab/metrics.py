@@ -128,10 +128,16 @@ def agreement_ratios(bank: MemoryBank, labels=None):
     the sample's own predicted label, and (when true labels are given) the
     fraction of those whose shared label is also correct.
 
-    ``labels`` is indexed by sample id. Returns (same_ratio, correct_ratio);
-    the second is None without labels and 0.0 when no sample qualifies.
+    ``labels`` is a 1-D array indexed by sample id, so it must cover the
+    largest stored id. Returns (same_ratio, correct_ratio); the second is
+    None without labels and 0.0 when no sample qualifies.
     """
     sids, feats, preds = bank.snapshot()
+    if labels is not None:
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.ndim != 1 or labels.size <= sids.max(initial=-1):
+            raise ShapeError(f"labels must be 1-D and cover sample id {sids.max(initial=-1)}, "
+                             f"got shape {labels.shape}")
     own = np.argmax(preds, axis=1)
     nbr_slots = bank.knn_slots(feats, RATIO_K, exclude_ids=sids)
     nbr_labels = np.argmax(bank.predictions, axis=1)[nbr_slots]   # (n, RATIO_K)
@@ -139,7 +145,6 @@ def agreement_ratios(bank: MemoryBank, labels=None):
     same_ratio = float(np.mean(same))
     if labels is None:
         return same_ratio, None
-    labels = np.asarray(labels, dtype=np.int64)
     true = labels[sids]
     qualified = int(np.sum(same))
     if qualified == 0:

@@ -172,11 +172,11 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 def require_simplex_rows(P: np.ndarray, tol: float = 1e-6, name: str = "P") -> np.ndarray:
     """Check every row of ``P`` lies on the probability simplex within ``tol``."""
     P = as_matrix(P, name)
-    if (P < -tol).any():
+    if P.min(initial=np.inf) < -tol:
         raise InvalidInputError(f"{name} has negative entries")
-    sums = P.sum(axis=1)
-    if (np.abs(sums - 1.0) > tol).any():
-        raise InvalidInputError(f"{name} rows do not sum to 1 (max dev {np.abs(sums - 1).max():.3g})")
+    dev = np.abs(P.sum(axis=1) - 1.0).max(initial=-np.inf)
+    if dev > tol:
+        raise InvalidInputError(f"{name} rows do not sum to 1 (max dev {dev:.3g})")
     return P
 
 
@@ -196,16 +196,20 @@ def rescaled_rows(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Scaling a row leaves its direction, and so every cosine, unchanged;
     zero rows stay zero. ``M`` itself is returned when every row is in
-    range, otherwise a copy.
+    range, otherwise a copy. A norm is ``sqrt(add.reduce(row * row))``,
+    the arithmetic of ``np.linalg.norm(M, axis=1)`` for real input, so
+    the bits are the same and a row's norm does not depend on the rows
+    around it.
     """
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(M, axis=1)
+        norms = np.sqrt(np.add.reduce(M * M, axis=1))
+    if norms.min(initial=np.inf) >= _MIN_SAFE_NORM and norms.max(initial=0.0) < np.inf:
+        return M, norms
     bad = np.flatnonzero((norms < _MIN_SAFE_NORM) | (norms == np.inf))
-    if bad.size:
-        M = M.copy()
-        peak = np.abs(M[bad]).max(axis=1, keepdims=True, initial=0.0)
-        M[bad] /= np.where(peak > 0.0, peak, 1.0)
-        norms[bad] = np.linalg.norm(M[bad], axis=1)
+    M = M.copy()
+    peak = np.abs(M[bad]).max(axis=1, keepdims=True, initial=0.0)
+    M[bad] /= np.where(peak > 0.0, peak, 1.0)
+    norms[bad] = np.linalg.norm(M[bad], axis=1)
     return M, norms
 
 
@@ -218,7 +222,8 @@ def unit_rows(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     rows, norms = rescaled_rows(M)
     zero = norms == 0.0
-    return rows / np.where(zero, 1.0, norms)[:, None], zero
+    norms[zero] = 1.0
+    return rows / norms[:, None], zero
 
 
 def l2_normalize_rows(M) -> np.ndarray:

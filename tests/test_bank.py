@@ -100,6 +100,25 @@ class TestUpdate:
         with pytest.raises(InvalidInputError):
             b.update([-1], [[1.0]], [[0.5, 0.5]])
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("ids", [[0.5], [1.0, 2.5], [np.nan], [np.inf], ["a"]])
+    def test_non_integral_ids_rejected_not_truncated(self, mode, ids):
+        b = MemoryBank(mode, 4, 1, 2)
+        with pytest.raises(InvalidInputError, match="integers"):
+            b.update(ids, np.ones((len(ids), 1)), uniform_preds(len(ids)))
+        assert b.filled == 0 and (b.sample_ids == -1).all()
+
+    def test_non_integral_ids_are_named(self):
+        b = MemoryBank("ring", 4, 1, 2)
+        with pytest.raises(InvalidInputError, match=r"\[2\.5\]"):
+            b.update([1.0, 2.5], np.ones((2, 1)), uniform_preds(2))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_integral_float_ids_accepted(self, mode):
+        b = MemoryBank(mode, 4, 1, 2)
+        b.update(np.array([3.0, 1.0]), [[1.0], [2.0]], uniform_preds(2))
+        assert sorted(b.sample_ids[b.sample_ids >= 0].tolist()) == [1, 3]
+
     @given(st.lists(st.integers(0, 30), min_size=1, max_size=60),
            st.integers(2, 8))
     @settings(max_examples=60, deadline=None)
@@ -199,6 +218,13 @@ class TestKnn:
         b.update([0, 1, 2], [[0.0, 0.0], [0.1, 0.0], [-1.0, 0.0]], uniform_preds(3))
         ids = b.knn_batch([[1.0, 0.0]], k=2)[0][0]
         assert ids.tolist() == [1, 2]
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2", None])
+    def test_non_integral_k_rejected(self, k):
+        b = MemoryBank("full", 4, 2, 2)
+        b.update(np.arange(4), np.eye(4, 2) + 1.0, uniform_preds(4))
+        with pytest.raises(ConfigError, match="integer"):
+            b.knn_slots([[1.0, 0.0]], k)
 
     def test_insufficient_data(self):
         b = MemoryBank("full", 4, 2, 2)
@@ -506,6 +532,67 @@ class TestQueryBlocks:
         assert got.tolist() == oracle_knn_batch(bank, stored, k, ids)
         for r in (6, 7, 13, 14):
             assert got[r].tolist() == [0, 1, 2, 3]
+
+
+def slots_and_rescaled_rows(bank, queries, k, exclude_ids):
+    """knn_slots of the queries, and how many rows it normalised."""
+    rows = []
+    real = numerics.rescaled_rows
+
+    def counted(M):
+        rows.append(M.shape[0])
+        return real(M)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "rescaled_rows", counted)
+        slots = bank.knn_slots(queries, k, exclude_ids=exclude_ids)
+    return slots, sum(rows)
+
+
+class TestStoredQueries:
+    """Queries that are the stored rows of their excluded ids reuse the
+    stored unit rows; the same queries times 2 (exact in floating point,
+    so the unit rows are the same bits) are normalised. Both must rank
+    alike, ties and zero-norm rows included."""
+
+    @given(banks_with_queries())
+    @settings(max_examples=200, deadline=None)
+    def test_reused_and_normalised_queries_rank_alike(self, case):
+        bank, queries, own_ids, k = case
+        stored = bank.snapshot()[0]
+        assume(min(int(np.sum(stored != i)) for i in own_ids) >= k)
+        reused, normalised_rows = slots_and_rescaled_rows(bank, queries, k, own_ids)
+        assert normalised_rows == 0
+        scaled, normalised_rows = slots_and_rescaled_rows(bank, 2.0 * queries, k, own_ids)
+        # zero rows times 2 are still the stored rows
+        assert normalised_rows == (0 if (queries == 0.0).all() else len(own_ids))
+        assert reused.tobytes() == scaled.tobytes()
+
+    @given(all_pairs_banks())
+    @settings(max_examples=100, deadline=None)
+    def test_every_stored_row_as_a_query(self, case):
+        # the all-pairs retrieval of the agreement ratios; a full bank may
+        # hold every slot, where an id's position is the id itself
+        bank, k = case
+        ids, feats, _ = bank.snapshot()
+        reused, normalised_rows = slots_and_rescaled_rows(bank, feats, k, ids)
+        assert normalised_rows == 0
+        scaled, _ = slots_and_rescaled_rows(bank, 2.0 * feats, k, ids)
+        assert reused.tobytes() == scaled.tobytes()
+        assert bank.sample_ids[reused].tolist() == oracle_knn_batch(bank, feats, k, ids)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_queries_that_are_not_their_stored_rows_are_normalised(self, mode):
+        bank = MemoryBank(mode, 6, 2, 2)
+        feats = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 0.0], [2.0, 1.0]])
+        bank.update(np.arange(5), feats, uniform_preds(5))
+        for queries, excl in ((feats[[0, 1]], [1, 0]),        # another row's id
+                              (feats[[0, 1]] + 0.5, [0, 1]),  # a different row
+                              (feats[[0, 1]], [0, 9])):       # an id not stored
+            queries = np.asarray(queries)
+            slots, normalised_rows = slots_and_rescaled_rows(bank, queries, 2, excl)
+            assert normalised_rows == 2
+            assert bank.sample_ids[slots].tolist() == oracle_knn_batch(bank, queries, 2, excl)
 
 
 class TestDumpAndSnapshot:

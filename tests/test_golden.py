@@ -1,6 +1,6 @@
 """Golden hashes: SHA-256 of the history JSON and the checkpoint bytes of
 short adaptation runs on the seed-0 toy protocol: every objective with a
-full bank, and AaD, DisperseOnly and MI with a 128-slot ring.
+full bank, and AaD, NC, DisperseOnly and MI with a 128-slot ring.
 
 These pin the exact floating-point behaviour of the adaptation loop, so a
 refactor or speed-up that claims "same results" can prove it. The values
@@ -56,6 +56,9 @@ GOLDEN = {
     ("AaD", 0.25, "ring128"): (
         "f8114cb859ad299ae3c78a66c1b8e5d60137405bd0231f4a8dae433caf2868e4",
         "ab3d28bfdade32898a5d676cd6ca094c74317a324d617a49fc182e1c0d6c8d49"),
+    ("NC", 0.25, "ring128"): (
+        "2516a25b3584942facea3320f20e1f9196f827aec172dcc1ed957cde6aaa163e",
+        "405f0ec702f2265dfb2d9caf0805f7459d744c97e020c2d3e15ee95543cc61a9"),
     ("DisperseOnly", 0.25, "ring128"): (
         "d655064872abf797a69300c1de10443019a384d2411e37fc7fd0c21b10865e2f",
         "ed989f03bbf107a55c866b13a1ac8d05cd0eced5d683f746bf8c410a873648a5"),

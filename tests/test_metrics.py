@@ -245,6 +245,18 @@ class TestAgreementRatios:
         with pytest.raises(InsufficientDataError):
             agreement_ratios(bank_from(feats, preds))
 
+    @pytest.mark.parametrize("labels", [
+        np.zeros((6, 1), dtype=np.int64),   # broadcast to (6, 6) before
+        np.zeros(5, dtype=np.int64),        # misses sample id 5
+        np.zeros((2, 3), dtype=np.int64),
+        0,
+    ])
+    def test_labels_must_be_1d_and_cover_every_stored_id(self, labels):
+        rng = np.random.default_rng(2)
+        bank = bank_from(rng.normal(size=(6, 3)), rng.dirichlet(np.ones(2), size=6))
+        with pytest.raises(ShapeError, match="sample id 5"):
+            agreement_ratios(bank, labels)
+
 
 class TestEpochEvaluationMemory:
     """At n = 3000 one n x n float64 array is 68.7 MiB; evaluation works

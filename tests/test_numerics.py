@@ -12,6 +12,8 @@ from sfdalab.numerics import (
     finite_diff_grad,
     l2_normalize_rows,
     max_relative_error,
+    require_simplex_rows,
+    rescaled_rows,
     scratch,
     single_blas_thread,
     softmax_rows,
@@ -86,6 +88,79 @@ class TestL2NormalizeRows:
         norms = np.linalg.norm(M, axis=1, keepdims=True)
         want = M / np.where(norms > 0.0, norms, 1.0)
         assert np.array_equal(l2_normalize_rows(M), want)
+
+
+# rows of tiny (squared norm underflows), huge (squared norm overflows),
+# ordinary and zero entries
+_ROW_SCALES = st.sampled_from([0.0, 1e-300, 1e-170, 1e-160, 1.0, 1e150, 1e160, 1e300])
+
+
+@st.composite
+def scaled_matrices(draw):
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    entries = draw(st.lists(st.floats(-1.0, 1.0), min_size=rows * cols,
+                            max_size=rows * cols))
+    scales = draw(st.lists(_ROW_SCALES, min_size=rows, max_size=rows))
+    return np.array(entries).reshape(rows, cols) * np.array(scales)[:, None]
+
+
+class TestRescaledRows:
+    @given(scaled_matrices())
+    def test_norms_are_those_of_np_linalg_norm_bit_for_bit(self, M):
+        rows, norms = rescaled_rows(M)
+        assert np.isfinite(norms).all()
+        want = np.linalg.norm(rows, axis=1)
+        assert norms.tobytes() == want.tobytes()
+        # rows whose norm is in range are returned as they are
+        with np.errstate(over="ignore"):
+            before = np.linalg.norm(M, axis=1)
+        kept = (before >= np.sqrt(np.finfo(np.float64).tiny)) & (before < np.inf)
+        assert rows[kept].tobytes() == M[kept].tobytes()
+        assert norms[kept].tobytes() == before[kept].tobytes()
+
+    @given(scaled_matrices())
+    def test_each_row_comes_out_as_it_would_alone(self, M):
+        rows, norms = rescaled_rows(M)
+        for i in range(M.shape[0]):
+            one_rows, one_norm = rescaled_rows(M[i:i + 1])
+            assert one_rows.tobytes() == rows[i:i + 1].tobytes()
+            assert one_norm.tobytes() == norms[i:i + 1].tobytes()
+
+    def test_input_is_returned_when_every_row_is_in_range(self):
+        M = np.array([[3.0, 4.0], [1.0, 0.0]])
+        rows, norms = rescaled_rows(M)
+        assert rows is M and norms.tolist() == [5.0, 1.0]
+
+
+def old_simplex_verdict(P, tol):
+    """The elementwise checks require_simplex_rows replaced, as the oracle
+    of its verdicts and messages."""
+    if (P < -tol).any():
+        return "has negative entries"
+    sums = P.sum(axis=1)
+    if (np.abs(sums - 1.0) > tol).any():
+        return f"rows do not sum to 1 (max dev {np.abs(sums - 1).max():.3g})"
+    return None
+
+
+class TestRequireSimplexRows:
+    @given(st.integers(0, 6), st.integers(1, 4), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, 1e-6, 1e-3]))
+    def test_verdicts_and_messages_match_the_elementwise_checks(self, n, c, seed, tol):
+        rng = np.random.default_rng(seed)
+        P = rng.dirichlet(np.ones(c), size=n)
+        # nudge entries by about the tolerance, either way
+        P = P + rng.choice([0.0, 0.5, 1.0, 2.0], size=P.shape) * tol * rng.choice([-1, 1], size=P.shape)
+        want = old_simplex_verdict(P, tol)
+        if want is None:
+            assert require_simplex_rows(P, tol=tol, name="P") is not None
+        else:
+            with pytest.raises(InvalidInputError) as err:
+                require_simplex_rows(P, tol=tol, name="P")
+            assert str(err.value) == f"P {want}"
+
+    def test_empty_matrix_passes(self):
+        assert require_simplex_rows(np.zeros((0, 3))).shape == (0, 3)
 
 
 class TestFiniteDiffGrad:
