@@ -110,7 +110,7 @@ class MemoryBank:
             # the kept rows go to slots start, ..., end - 1 (mod capacity)
             end = self.cursor + ids.size
             start = end - kept.size
-            slots = slice(start, end) if end <= cap else np.arange(start, end) % cap
+            slots = np.arange(start, end) % cap
             order = np.argsort(kept, kind="stable")
             written = kept.take(order)
             # clear the slots of older copies of the written ids
@@ -123,8 +123,7 @@ class MemoryBank:
             self.sample_ids[slots] = kept
             # the stable order puts an id's last write last among its copies
             earlier = written[:-1] == written[1:]
-            if earlier.any():
-                self.sample_ids[(start + order[:-1][earlier]) % cap] = -1
+            self.sample_ids[slots.take(order[:-1][earlier])] = -1
             self.cursor = end % cap
         self.filled = int(np.count_nonzero(self.sample_ids >= 0))
         return self
@@ -170,28 +169,20 @@ class MemoryBank:
             raise ShapeError("query width does not match bank features")
         if self.filled <= k:
             raise InsufficientDataError(f"bank holds {self.filled} rows, need more than k={k}")
-        if self.mode == "full" and self.filled == self.capacity:
-            slots = None  # every slot holds its own id: candidate position == slot
-            cand_ids, cand_unit, zero_cands = self.sample_ids, self.unit, self.zero_norm
-        else:
-            slots = self.occupied()
-            cand_ids, cand_unit = self.sample_ids.take(slots), self.unit.take(slots, axis=0)
-            zero_cands = self.zero_norm.take(slots)
+        slots = self.occupied()
+        cand_ids, cand_unit = self.sample_ids.take(slots), self.unit.take(slots, axis=0)
+        zero_cands = self.zero_norm.take(slots)
         nq, n = Q.shape[0], cand_ids.size
         zero_queries = None
 
         # candidates are in id order and hold each id once, so query r's
         # excluded id, if stored, sits at position pos[r]
         if exclude_ids is not None:
-            excl = np.asarray(exclude_ids, dtype=np.int64).ravel()
+            excl = _sample_ids(exclude_ids)
             if excl.size != nq:
                 raise ShapeError("exclude_ids must supply one id per query row")
-            if slots is None:
-                pos = excl  # the position of an id is the id itself
-                hit = np.flatnonzero((excl >= 0) & (excl < n))
-            else:
-                pos = np.searchsorted(cand_ids, excl)
-                hit = np.flatnonzero(cand_ids.take(pos, mode="clip") == excl)
+            pos = np.searchsorted(cand_ids, excl)
+            hit = np.flatnonzero(cand_ids.take(pos, mode="clip") == excl)
             # Queries that are the stored rows of their excluded ids (the
             # batch just written, or a snapshot) take the stored unit rows:
             # unit_rows works row by row, so these are the bits it would
@@ -199,12 +190,11 @@ class MemoryBank:
             # cosines that differ at most in the sign of a zero, which
             # ranks the same.)
             if hit.size == nq:
-                stored = pos if slots is None else slots.take(pos)
+                stored = slots.take(pos)
                 if (self.features.take(stored, axis=0) == Q).all():
                     Q, zero_queries = self.unit.take(stored, axis=0), self.zero_norm.take(stored)
         if zero_queries is None:
             Q, zero_queries = unit_rows(Q)
-        floor_cands, floor_queries = zero_cands.any(), zero_queries.any()
 
         # Each query ranks its own row of similarities, so queries go in
         # blocks of rows through reused work arrays. argmax returns the
@@ -216,10 +206,8 @@ class MemoryBank:
         order = np.empty((nq, k), dtype=np.int64)
         for lo, hi in row_blocks(nq):
             sims = np.matmul(Q[lo:hi], cand_unit.T, out=scratch("knn.sims", (hi - lo, n)))
-            if floor_cands:
-                sims[:, zero_cands] = _FLOOR_SIMILARITY
-            if floor_queries:
-                sims[zero_queries[lo:hi], :] = _FLOOR_SIMILARITY
+            sims[:, zero_cands] = _FLOOR_SIMILARITY
+            sims[zero_queries[lo:hi], :] = _FLOOR_SIMILARITY
             if exclude_ids is not None:
                 rows = hit[np.searchsorted(hit, lo):np.searchsorted(hit, hi)]
                 sims[rows - lo, pos[rows]] = -np.inf
@@ -227,7 +215,7 @@ class MemoryBank:
             for j in range(k):
                 best = sims.argmax(axis=1, out=order[lo:hi, j])
                 sims.put(best + row_starts, -np.inf)
-        return order if slots is None else slots.take(order)
+        return slots.take(order)
 
     def snapshot(self):
         """(ids, features, predictions) copies of the occupied rows, id order."""

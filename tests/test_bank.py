@@ -226,6 +226,24 @@ class TestKnn:
         with pytest.raises(ConfigError, match="integer"):
             b.knn_slots([[1.0, 0.0]], k)
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("excl", [[0.5], [np.nan], ["a"]])
+    def test_non_integral_exclude_ids_rejected_not_truncated(self, mode, excl):
+        # 0.5 must not be truncated to id 0, which would exclude a row
+        b = MemoryBank(mode, 4, 2, 2)
+        b.update(np.arange(4), [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]],
+                 uniform_preds(4))
+        with pytest.raises(InvalidInputError, match="integers"):
+            b.knn_batch([[1.0, 0.0]], 1, exclude_ids=excl)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_integral_float_exclude_ids_accepted(self, mode):
+        b = MemoryBank(mode, 4, 2, 2)
+        b.update(np.arange(4), [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]],
+                 uniform_preds(4))
+        ids = b.knn_batch([[1.0, 0.0]], 1, exclude_ids=[0.0])[0]
+        assert ids.tolist() == [[1]]
+
     def test_insufficient_data(self):
         b = MemoryBank("full", 4, 2, 2)
         b.update([0, 1], [[1.0, 0.0], [0.0, 1.0]], uniform_preds(2))
