@@ -17,12 +17,10 @@ bank) reuse the stored unit rows, which are the same bits.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
 from .errors import ConfigError, InsufficientDataError, InvalidInputError, ShapeError
-from .numerics import as_matrix, require_simplex_rows, row_blocks, scratch, unit_rows
+from .numerics import as_index, as_matrix, require_simplex_rows, row_blocks, scratch, unit_rows
 
 MODES = ("full", "ring")
 
@@ -158,10 +156,7 @@ class MemoryBank:
         (``numerics.unit_rows``, which rescales rows with tiny or huge
         entries first, so their cosines neither underflow nor overflow).
         """
-        try:
-            k = operator.index(k)
-        except TypeError:
-            raise ConfigError(f"k must be an integer, got {k!r}") from None
+        k = as_index(k, "k")
         if k < 1:
             raise ConfigError("k must be >= 1")
         Q = as_matrix(queries, "queries")

@@ -11,7 +11,8 @@ epochs and learning rate, the sweep's betas and seed count, the
 boundary plot's bounds).
 
 Datasets are given either as a CSV path or as a moons spec:
-``moons`` or ``moons:rot=30,n=300,sigma=0.1,seed=0,unknown=0``.
+``moons`` or ``moons:rot=30,n=300,sigma=0.1,seed=0``, whose keys set
+``MoonsConfig`` fields.
 """
 
 from __future__ import annotations
@@ -21,14 +22,7 @@ import json
 import sys
 
 from .bank import MODES
-from .datasets import (
-    Dataset,
-    MoonsConfig,
-    load_csv_dataset,
-    make_open_set_variant,
-    make_twin_moons,
-    read_utf8,
-)
+from .datasets import Dataset, MoonsConfig, load_csv_dataset, make_twin_moons, read_utf8
 from .errors import ParseError
 from .metrics import build_report, decision_grid, save_grid_csv, write_report_json
 from .model import init_model, load_checkpoint, save_checkpoint
@@ -41,21 +35,19 @@ from .orchestrator import (
     sweep_beta,
 )
 
-# moons spec key -> (keyword, type): the MoonsConfig fields, and the size
-# of the open-set blob that make_open_set_variant appends
+# moons spec key -> (MoonsConfig field, type)
 _MOON_KEYS = {
     "rot": ("rotation_deg", float),
     "n": ("n_per_class", int),
     "sigma": ("noise_sigma", float),
     "seed": ("seed", int),
-    "unknown": ("n_unknown", int),
 }
 
 
-def parse_data_spec(spec: str, domain: str = "source") -> Dataset:
+def parse_data_spec(spec: str) -> Dataset:
     """Either a path to a dataset CSV or a moons generator spec."""
     if not spec.startswith("moons"):
-        return load_csv_dataset(spec, domain=domain)
+        return load_csv_dataset(spec)
     if spec == "moons":
         parts = []
     elif spec.startswith("moons:"):
@@ -74,12 +66,7 @@ def parse_data_spec(spec: str, domain: str = "source") -> Dataset:
             params[name] = kind(value)
         except ValueError:
             raise ParseError(f"bad moons parameter {part!r}") from None
-    n_unknown = params.pop("n_unknown", 0)
-    cfg = MoonsConfig(**params)
-    ds = make_twin_moons(cfg)
-    if n_unknown:
-        ds = make_open_set_variant(ds, n_unknown, seed=cfg.seed + 1)
-    return ds
+    return make_twin_moons(MoonsConfig(**params))
 
 
 def _load_config(path) -> dict:
@@ -168,7 +155,7 @@ def _fmt(value) -> str:
 
 
 def cmd_pretrain(args, given: dict) -> int:
-    data = parse_data_spec(args.data, domain="source")
+    data = parse_data_spec(args.data)
     model = init_model(data.dim, given.get("hidden1", 15), given.get("hidden_feat", 15),
                        max(data.num_classes, 2), **_pick(given, ("seed",)))
     model, report = pretrain_source(model, data, given.get("epochs", 200), given.get("lr", 0.01),
@@ -180,7 +167,7 @@ def cmd_pretrain(args, given: dict) -> int:
 
 def cmd_adapt(args, given: dict) -> int:
     model = load_checkpoint(args.ckpt)
-    target = parse_data_spec(args.target, domain="target")
+    target = parse_data_spec(args.target)
     cfg = _adapt_config(given)
     model, history = adapt(model, target, cfg)
     if args.out:
@@ -196,7 +183,7 @@ def cmd_adapt(args, given: dict) -> int:
 
 def cmd_sweep(args, given: dict) -> int:
     model = load_checkpoint(args.ckpt)
-    target = parse_data_spec(args.target, domain="target")
+    target = parse_data_spec(args.target)
     betas_raw = given.get("betas", "0,1,2,5")
     if isinstance(betas_raw, str):
         betas_raw = [b for b in betas_raw.split(",") if b.strip()]
@@ -217,7 +204,7 @@ def cmd_sweep(args, given: dict) -> int:
 
 def cmd_eval(args, given: dict) -> int:
     model = load_checkpoint(args.ckpt)
-    data = parse_data_spec(args.data, domain="target")
+    data = parse_data_spec(args.data)
     report = build_report(model, data.X, data.labels, max(data.num_classes, model.n_classes),
                           **_pick(given, ("tau",)))
     if args.out:

@@ -1,5 +1,6 @@
-"""Twin-moons generation with rotation shift, CSV round-trip, and the
-open-set blob variant.
+"""Twin-moons generation with rotation shift, and CSV round-trip.
+
+A label of -1 marks an unlabeled sample.
 
 CSV format: first line ``d=<int>,labels=<0|1>``, then one sample per
 line, comma separated, label last when present. Floats are written with
@@ -17,15 +18,11 @@ import numpy as np
 
 from .errors import ParseError, ShapeError
 
-SOURCE = "source"
-TARGET = "target"
-
 
 @dataclass
 class Dataset:
     X: np.ndarray
-    labels: np.ndarray            # int64, -1 = unlabeled/unknown
-    domain: str = SOURCE
+    labels: np.ndarray            # int64, -1 = unlabeled
     num_classes: int = 2
 
     def __post_init__(self):
@@ -84,7 +81,7 @@ def make_twin_moons(cfg: MoonsConfig) -> Dataset:
         labels = np.concatenate([np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
     except MemoryError:
         raise ShapeError(f"n_per_class {n} is too large to allocate") from None
-    ds = Dataset(X=X, labels=labels, domain=SOURCE, num_classes=2)
+    ds = Dataset(X=X, labels=labels, num_classes=2)
     if cfg.rotation_deg != 0.0:
         ds = rotate_dataset(ds, cfg.rotation_deg)
     if not np.isfinite(ds.X).all():
@@ -93,10 +90,8 @@ def make_twin_moons(cfg: MoonsConfig) -> Dataset:
 
 
 def rotate_dataset(ds: Dataset, degrees: float) -> Dataset:
-    """Rotate every point about the data centroid; a pure pose change.
-
-    Labels are kept and the result is tagged as target-domain data.
-    """
+    """Rotate every point about the data centroid; a pure pose change
+    that keeps the labels."""
     if ds.dim != 2:
         raise ShapeError("rotation is defined for 2-D data only")
     theta = np.deg2rad(degrees)
@@ -104,7 +99,7 @@ def rotate_dataset(ds: Dataset, degrees: float) -> Dataset:
                   [np.sin(theta), np.cos(theta)]])
     center = ds.X.mean(axis=0)
     X = (ds.X - center) @ R.T + center
-    return Dataset(X=X, labels=ds.labels.copy(), domain=TARGET, num_classes=ds.num_classes)
+    return Dataset(X=X, labels=ds.labels.copy(), num_classes=ds.num_classes)
 
 
 def make_open_set_variant(ds: Dataset, n_unknown: int, seed: int = 0) -> Dataset:
@@ -120,7 +115,7 @@ def make_open_set_variant(ds: Dataset, n_unknown: int, seed: int = 0) -> Dataset
     blob = rng.normal(0.0, 0.1, size=(n_unknown, 2)) + np.array([0.5, -1.5])
     X = np.vstack([ds.X, blob])
     labels = np.concatenate([ds.labels, np.full(n_unknown, -1, dtype=np.int64)])
-    return Dataset(X=X, labels=labels, domain=ds.domain, num_classes=ds.num_classes)
+    return Dataset(X=X, labels=labels, num_classes=ds.num_classes)
 
 
 def save_csv_dataset(ds: Dataset, path) -> None:
@@ -139,7 +134,7 @@ def read_utf8(path) -> str:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def load_csv_dataset(path, domain: str = SOURCE) -> Dataset:
+def load_csv_dataset(path) -> Dataset:
     """Read a dataset back; num_classes is inferred as max(label)+1 when
     any non-negative label is present, else 0."""
     text = read_utf8(path)
@@ -169,7 +164,7 @@ def load_csv_dataset(path, domain: str = SOURCE) -> Dataset:
     if nonfinite.size:
         raise ParseError(f"row {nonfinite[0] + 1}: non-finite value")
     num_classes = int(labels.max()) + 1 if (labels >= 0).any() else 0
-    return Dataset(X=X, labels=labels, domain=domain, num_classes=num_classes)
+    return Dataset(X=X, labels=labels, num_classes=num_classes)
 
 
 def _parse_header(line: str) -> dict:

@@ -50,9 +50,9 @@ class OdaScores:
 
 
 def classification_report(predictions, truth, num_classes: int) -> EvalReport:
-    """Overall and per-class accuracy. Truth entries of -1 mark unknown
-    or unlabeled samples and are skipped; classes without any true
-    sample are left out of the per-class table and its mean."""
+    """Overall and per-class accuracy. Truth entries of -1 mark unlabeled
+    samples and are skipped; classes without any true sample are left
+    out of the per-class table and its mean."""
     pred = np.asarray(predictions, dtype=np.int64)
     true = np.asarray(truth, dtype=np.int64)
     if pred.shape != true.shape or pred.ndim != 1:
@@ -205,17 +205,16 @@ def evaluate_model(model: MlpModel, X, labels, num_classes: int) -> EvalReport:
 def build_report(model: MlpModel, X, labels, num_classes: int,
                  tau: float = SND_TAU) -> dict:
     """Full evaluation dict with the fixed key set accuracy, per_class,
-    snd, ratios, hos, os. Keys that cannot be computed are null: accuracy
-    needs labels, ratios need more than 3 samples, hos/os need unknown
-    (-1) samples in the truth. The model never rejects, so its unknown
-    accuracy is 0 by construction."""
+    snd, ratios. Keys that cannot be computed are null: accuracy and
+    per_class need labels (-1 marks an unlabeled sample, which they
+    skip), snd needs 2 samples and ratios more than 3."""
     X = as_matrix(X, "X")
     labels = np.asarray(labels, dtype=np.int64)
     cache = forward(model, X)
     pred = np.argmax(cache.P, axis=1)
-    report = {"accuracy": None, "per_class": None, "snd": None,
-              "ratios": None, "hos": None, "os": None}
-    if (labels >= 0).any():
+    report = {"accuracy": None, "per_class": None, "snd": None, "ratios": None}
+    has_labels = bool((labels >= 0).any())
+    if has_labels:
         er = classification_report(pred, labels, num_classes)
         report["accuracy"] = er.accuracy
         report["per_class"] = er.to_dict()["per_class"]
@@ -225,15 +224,8 @@ def build_report(model: MlpModel, X, labels, num_classes: int,
         bank = MemoryBank(mode="full", capacity=X.shape[0],
                           feat_dim=model.h_feat, n_classes=model.n_classes)
         bank.update(np.arange(X.shape[0]), cache.features, cache.P)
-        has_labels = bool((labels >= 0).any())
         same, correct = agreement_ratios(bank, labels if has_labels else None)
         report["ratios"] = {"same": same, "correct": correct}
-    if (labels < 0).any() and (labels >= 0).any():
-        known = labels >= 0
-        per_known = classification_report(pred[known], labels[known], num_classes)
-        scores = open_set_scores(per_known.mean_per_class, 0.0, num_classes)
-        report["hos"] = scores.hos
-        report["os"] = scores.os
     return report
 
 

@@ -26,7 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, InvalidInputError, ShapeError
+from .datasets import read_utf8
+from .errors import ConfigError, DivergenceError, InvalidInputError, ParseError, ShapeError
 from .numerics import as_matrix, softmax_rows
 
 PARAM_NAMES = ("W1", "b1", "W2", "b2", "Wc", "bc")
@@ -200,18 +201,6 @@ def predict_labels(model: MlpModel, X) -> np.ndarray:
     return np.argmax(forward(model, X).P, axis=1)
 
 
-def get_flat_params(model: MlpModel) -> np.ndarray:
-    return model.theta.copy()
-
-
-def set_flat_params(model: MlpModel, flat) -> MlpModel:
-    flat = np.asarray(flat, dtype=np.float64).ravel()
-    if flat.size != model.n_params():
-        raise ShapeError(f"expected {model.n_params()} values, got {flat.size}")
-    model.theta[...] = flat
-    return model
-
-
 def save_checkpoint(model: MlpModel, path) -> None:
     """JSON checkpoint: dims, seed, flat row-major parameter arrays.
 
@@ -229,16 +218,31 @@ def save_checkpoint(model: MlpModel, path) -> None:
 
 
 def load_checkpoint(path) -> MlpModel:
-    """Model from a ``save_checkpoint`` file. A dim that is missing or not
-    a positive integer, and a parameter that is missing, is not a list of
-    numbers, has the wrong length for the dims or holds a non-finite value,
-    raise InvalidInputError naming it."""
-    doc = json.loads(Path(path).read_text())
+    """Model from a ``save_checkpoint`` file.
+
+    A file that is not UTF-8 JSON raises ParseError naming it. A document
+    that is not an object, ``dims`` or ``params`` that is not an object, a
+    ``seed`` that is not a non-negative integer, a dim that is missing or
+    not a positive integer, and a parameter that is missing, is not a list
+    of numbers, has the wrong length for the dims or holds a non-finite
+    value, raise InvalidInputError naming it."""
+    try:
+        doc = json.loads(read_utf8(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise InvalidInputError(f"{path}: a checkpoint must hold a JSON object")
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise InvalidInputError(f"unsupported checkpoint version {doc.get('format_version')!r}")
-    d = doc.get("dims", {})
+    for key in ("dims", "params"):
+        if not isinstance(doc.get(key), dict):
+            raise InvalidInputError(f"checkpoint {key} is missing or not an object")
+    seed = doc.get("seed", 0)
+    if type(seed) is not int or seed < 0:
+        raise InvalidInputError(f"checkpoint seed must be a non-negative integer, got {seed!r}")
+    d = doc["dims"]
     for key in ("d_in", "h1", "h_feat", "n_classes"):
-        if not isinstance(d.get(key), int) or d[key] < 1:
+        if type(d.get(key)) is not int or d[key] < 1:
             raise InvalidInputError(f"checkpoint dim {key} is missing or not a positive integer")
     shapes = {
         "W1": (d["d_in"], d["h1"]), "b1": (d["h1"],),
@@ -247,7 +251,7 @@ def load_checkpoint(path) -> MlpModel:
     }
     params = {}
     for name, shape in shapes.items():
-        if name not in doc.get("params", {}):
+        if name not in doc["params"]:
             raise InvalidInputError(f"checkpoint parameter {name} is missing")
         try:
             arr = np.asarray(doc["params"][name], dtype=np.float64)
@@ -258,4 +262,4 @@ def load_checkpoint(path) -> MlpModel:
         if not np.isfinite(arr).all():
             raise InvalidInputError(f"checkpoint parameter {name} has non-finite values")
         params[name] = arr.reshape(shape)
-    return MlpModel(**params, seed=int(doc.get("seed", 0)))
+    return MlpModel(**params, seed=seed)

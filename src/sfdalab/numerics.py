@@ -15,13 +15,14 @@ import ctypes
 import functools
 import glob
 import math
+import operator
 import os
 import threading
 from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInputError, OracleError, ShapeError
+from .errors import ConfigError, InvalidInputError, OracleError, ShapeError
 
 # Work arrays up to this many entries (16 MiB of float64) are kept per
 # thread and reused; larger ones are allocated fresh on every call.
@@ -167,6 +168,15 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(m).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
     return m
+
+
+def as_index(value, name: str) -> int:
+    """``value`` as an int; ConfigError naming ``name`` unless it is an
+    integer (a Python or numpy integer, not an integral float)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 def require_simplex_rows(P: np.ndarray, tol: float = 1e-6, name: str = "P") -> np.ndarray:

@@ -36,7 +36,7 @@ from .datasets import Dataset
 from .errors import ConfigError, DivergenceError, InsufficientDataError, InvalidInputError
 from .metrics import SND_TAU, EvalReport, agreement_ratios, classification_report, snd_score
 from .model import MlpModel, backward, forward, sgd_step
-from .numerics import as_matrix, single_blas_thread
+from .numerics import as_index, as_matrix, single_blas_thread
 from .objectives import (
     attract_disperse_loss,
     bnm_loss,
@@ -90,6 +90,10 @@ class AdaptConfig:
         self.objective = canonical_objective(self.objective)
 
     def validate(self) -> None:
+        for name in ("k", "batch_size", "epochs", "ring_capacity", "seed"):
+            as_index(getattr(self, name), name)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2")
         if self.k < 1 or self.k >= self.batch_size - 1:
@@ -177,6 +181,10 @@ def pretrain_source(model: MlpModel, source: Dataset, epochs: int, lr: float,
 
     Errors inside a step are reported as in ``adapt``, with the prefix
     ``pretrain, epoch e, iteration b``."""
+    for name, value in (("epochs", epochs), ("batch_size", batch_size), ("seed", seed)):
+        as_index(value, name)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if epochs < 0:
         raise ConfigError("epochs must be >= 0")
     if not (math.isfinite(lr) and lr > 0):
@@ -281,10 +289,8 @@ def _write_pending(bank, pending) -> None:
     """Write the queued steps to the bank in one update, oldest first, and
     empty the queue. An epoch's batches hold distinct ids and ``update``
     treats rows one at a time, so this leaves the bank as writing each
-    step on its own would. One queued step is written as it is, uncopied."""
-    if len(pending) == 1:
-        bank.update(*pending[0])
-    elif pending:
+    step on its own would."""
+    if pending:
         bank.update(*(np.concatenate(part) for part in zip(*pending)))
     pending.clear()
 

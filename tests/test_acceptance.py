@@ -16,7 +16,6 @@ from sfdalab.bank import MemoryBank
 from sfdalab.datasets import MoonsConfig, make_twin_moons, rotate_dataset
 from sfdalab.metrics import evaluate_model, open_set_scores
 from sfdalab.model import (
-    get_flat_params,
     init_model,
     load_checkpoint,
     save_checkpoint,
@@ -363,5 +362,5 @@ def test_criterion_9_determinism(toy_runs, tmp_path):
     assert hist_a == hist_b, "history JSON differs between identical runs"
     assert ckpt_a == ckpt_b, "checkpoint differs between identical runs"
     m1, m2 = load_checkpoint(paths[0]), load_checkpoint(paths[1])
-    assert np.array_equal(get_flat_params(m1), get_flat_params(m2))
+    assert np.array_equal(m1.theta, m2.theta)
     _line(9, "PASS bit-identical history and checkpoints")

@@ -11,11 +11,13 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sfdalab import objectives
+from sfdalab.bank import MemoryBank
 from sfdalab.datasets import MoonsConfig, make_twin_moons, rotate_dataset
-from sfdalab.model import init_model
+from sfdalab.model import PARAM_NAMES, init_model
 from sfdalab.orchestrator import OBJECTIVES, AdaptConfig, adapt, pretrain_source
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -64,3 +66,21 @@ def test_one_traced_loss_call_per_step(objective, monkeypatch):
                     monkeypatch.setattr(mod, key, counted)
     _, hist = adapt(model, rotate_dataset(src, 30.0), cfg)
     assert len(calls) == len(hist.loss) > 0
+
+
+@pytest.mark.parametrize("mode", ["full", "ring"])
+def test_knn_batch_leads_with_the_id_array(mode):
+    # the tracer checks and the probe read only the first element
+    rng = np.random.default_rng(0)
+    bank = MemoryBank(mode, 12, 3, 2)
+    bank.update(np.arange(12), rng.normal(size=(12, 3)), rng.dirichlet(np.ones(2), size=12))
+    ids = bank.knn_batch(rng.normal(size=(5, 3)), 4, exclude_ids=np.arange(5))[0]
+    assert ids.shape == (5, 4) and ids.dtype.kind == "i"
+    assert set(ids.ravel().tolist()) <= set(range(12))
+
+
+def test_params_and_config_fields_the_bench_reads():
+    # the bench's reference forward reads the named parameters, and its
+    # SND check the run's temperature
+    assert tuple(init_model(2, 3, 4, 2, seed=0).params()) == PARAM_NAMES
+    assert AdaptConfig().snd_tau > 0

@@ -42,19 +42,16 @@ class TestParseDataSpec:
         base = parse_data_spec("moons:n=20,sigma=0.05,seed=3")
         assert not np.array_equal(ds.X, base.X)  # rotation applied
 
-    def test_unknown_blob_appended(self):
-        ds = parse_data_spec("moons:n=10,unknown=5")
-        assert len(ds) == 25 and int(np.sum(ds.labels == -1)) == 5
-
     def test_csv_path(self, tmp_path):
         from sfdalab.datasets import MoonsConfig, make_twin_moons, save_csv_dataset
         p = tmp_path / "data.csv"
         save_csv_dataset(make_twin_moons(MoonsConfig(n_per_class=8, seed=1)), p)
-        ds = parse_data_spec(str(p), domain="target")
-        assert len(ds) == 16 and ds.domain == "target"
+        ds = parse_data_spec(str(p))
+        assert len(ds) == 16
 
     @pytest.mark.parametrize("spec", [
         "moonsx", "moons:bad", "moons:rot", "moons:n=x", "moons:shape=ring",
+        "moons:unknown=-1", "moons:n=10,unknown=5",
     ])
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(ParseError):
@@ -63,7 +60,6 @@ class TestParseDataSpec:
     def test_plain_moons_is_the_library_default(self):
         ds, want = parse_data_spec("moons"), make_twin_moons(MoonsConfig())
         assert np.array_equal(ds.X, want.X) and np.array_equal(ds.labels, want.labels)
-        assert ds.domain == want.domain
 
     def test_each_key_sets_its_moons_config_field(self):
         ds = parse_data_spec("moons:rot=30,n=20,sigma=0.05,seed=3")
@@ -72,7 +68,7 @@ class TestParseDataSpec:
         assert np.array_equal(ds.X, want.X)
 
     @pytest.mark.parametrize("spec", [
-        "moons:unknown=-1", "moons:seed=-1", "moons:sigma=nan", "moons:sigma=inf",
+        "moons:seed=-1", "moons:sigma=nan", "moons:sigma=inf",
         "moons:rot=inf", "moons:rot=nan", "moons:sigma=1e308",
         "moons:n=100000000000",  # fails at allocation without touching memory
     ])
@@ -81,19 +77,19 @@ class TestParseDataSpec:
             parse_data_spec(spec)
 
     @given(st.lists(st.one_of(
-        st.tuples(st.sampled_from(["n", "unknown"]),
+        st.tuples(st.just("n"),
                   st.one_of(st.integers(-3, 50).map(str),
                             st.sampled_from(["", "x", "1.5", "nan", "+7", " 3", "-0"]))),
         st.tuples(st.sampled_from(["rot", "sigma", "seed"]),
                   st.one_of(st.floats().map(repr), st.integers().map(str),
                             st.sampled_from(["nan", "-inf", "1e999", "", "0x1"]))),
         st.tuples(st.text(alphabet=st.characters(exclude_characters=",="), max_size=6)
-                  .filter(lambda key: key not in ("n", "unknown")),
+                  .filter(lambda key: key != "n"),
                   st.text(alphabet=st.characters(exclude_characters=","), max_size=6)),
     ), max_size=6).map(lambda parts: "moons:" + ",".join(f"{k}={v}" for k, v in parts)))
     @settings(max_examples=300, deadline=None)
     def test_any_moons_spec_gives_finite_data_or_a_package_error(self, spec):
-        # n and unknown stay <= 50, so no example allocates more than 150 rows
+        # n stays <= 50, so no example allocates more than 100 rows
         try:
             ds = parse_data_spec(spec)
         except PACKAGE_ERRORS:
@@ -192,7 +188,7 @@ class TestEvalCommand:
         saved = json.loads(out.read_text())
         assert printed == saved
         assert printed["accuracy"] is not None
-        assert set(printed) == {"accuracy", "per_class", "snd", "ratios", "hos", "os"}
+        assert set(printed) == {"accuracy", "per_class", "snd", "ratios"}
 
 
 class TestBoundaryCommand:

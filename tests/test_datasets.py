@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from sfdalab import errors
 from sfdalab.datasets import (
-    SOURCE,
-    TARGET,
     Dataset,
     MoonsConfig,
     load_csv_dataset,
@@ -43,7 +41,7 @@ class TestMakeTwinMoons:
     def test_shapes_and_labels(self):
         ds = make_twin_moons(MoonsConfig(n_per_class=50, seed=1))
         assert len(ds) == 100 and ds.dim == 2
-        assert ds.num_classes == 2 and ds.domain == SOURCE
+        assert ds.num_classes == 2
         assert np.sum(ds.labels == 0) == 50 and np.sum(ds.labels == 1) == 50
 
     def test_seed_reproducibility(self):
@@ -69,7 +67,6 @@ class TestMakeTwinMoons:
         via_cfg = make_twin_moons(MoonsConfig(seed=4, rotation_deg=30.0))
         explicit = rotate_dataset(plain, 30.0)
         assert np.array_equal(via_cfg.X, explicit.X)
-        assert via_cfg.domain == TARGET
 
     def test_rejects_bad_config(self):
         for cfg in (
@@ -120,11 +117,10 @@ class TestRotateDataset:
         after = np.linalg.norm(rot.X[i] - rot.X[j])
         assert after == pytest.approx(before, abs=1e-9)
 
-    def test_keeps_labels_and_tags_target(self):
+    def test_keeps_labels(self):
         ds = make_twin_moons(MoonsConfig(n_per_class=20, seed=9))
         rot = rotate_dataset(ds, 30.0)
         assert np.array_equal(rot.labels, ds.labels)
-        assert rot.domain == TARGET
 
     def test_requires_two_dims(self):
         ds = Dataset(X=np.zeros((4, 3)), labels=np.zeros(4, dtype=np.int64),
@@ -166,10 +162,10 @@ class TestCsvRoundTrip:
         ds = make_twin_moons(MoonsConfig(n_per_class=40, seed=13))
         p = tmp_path / "moons.csv"
         save_csv_dataset(ds, p)
-        back = load_csv_dataset(p, domain=TARGET)
+        back = load_csv_dataset(p)
         assert np.array_equal(back.X, ds.X)  # bitwise, via repr round-trip
         assert np.array_equal(back.labels, ds.labels)
-        assert back.domain == TARGET and back.num_classes == 2
+        assert back.num_classes == 2
 
     def test_unlabeled_rows_round_trip(self, tmp_path):
         ds = make_open_set_variant(

@@ -356,25 +356,16 @@ class TestBuildReport:
 
     def test_fixed_key_set(self):
         rep = build_report(self.model, self.X, self.labels, 2)
-        assert set(rep) == {"accuracy", "per_class", "snd", "ratios", "hos", "os"}
+        assert set(rep) == {"accuracy", "per_class", "snd", "ratios"}
         assert rep["accuracy"] is not None
         assert rep["snd"] is not None
         assert rep["ratios"] is not None
-        assert rep["hos"] is None  # no unknown samples present
 
     def test_unlabeled_data_nulls_accuracy(self):
         rep = build_report(self.model, self.X, np.full(30, -1), 2)
         assert rep["accuracy"] is None and rep["per_class"] is None
         assert rep["snd"] is not None
         assert rep["ratios"]["correct"] is None
-
-    def test_open_set_fields_populated(self):
-        labels = self.labels.copy()
-        labels[:10] = -1
-        rep = build_report(self.model, self.X, labels, 2)
-        assert rep["hos"] is not None and rep["os"] is not None
-        # the classifier never outputs "unknown", so UNK=0 forces HOS=0
-        assert rep["hos"] == 0.0
 
     def test_matches_evaluate_model(self):
         rep = build_report(self.model, self.X, self.labels, 2)

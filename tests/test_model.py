@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
 
-from sfdalab.errors import ConfigError, DivergenceError, InvalidInputError, ShapeError
+from sfdalab.errors import (
+    ConfigError,
+    DivergenceError,
+    InvalidInputError,
+    ParseError,
+    ShapeError,
+)
 from sfdalab.model import (
     PARAM_NAMES,
     MlpModel,
     backward,
     forward,
-    get_flat_params,
     init_model,
     load_checkpoint,
     predict_labels,
     save_checkpoint,
-    set_flat_params,
     sgd_step,
 )
 from sfdalab.numerics import finite_diff_grad, max_relative_error
@@ -66,7 +70,7 @@ class TestInitModel:
 class TestForward:
     def test_zero_weights_uniform(self):
         m = init_model(2, 3, 3, 4, seed=0)
-        set_flat_params(m, np.zeros(m.n_params()))
+        m.theta[...] = 0.0
         P = forward(m, [[0.3, -0.7], [5.0, 2.0]]).P
         np.testing.assert_allclose(P, 0.25, atol=1e-15)
 
@@ -142,10 +146,10 @@ class TestBackward:
         probe = m.clone()
 
         def f(flat):
-            set_flat_params(probe, flat)
+            probe.theta[...] = flat
             return loss_of_P(forward(probe, X).P).value
 
-        numeric = finite_diff_grad(f, get_flat_params(m), h=1e-5)
+        numeric = finite_diff_grad(f, m.theta, h=1e-5)
         assert max_relative_error(analytic, numeric) <= 1e-4
 
     def test_cross_entropy_through_model_matches_oracle(self):
@@ -178,24 +182,24 @@ class TestBackward:
 class TestSgdStep:
     def test_vanilla_step(self):
         m = init_model(1, 2, 2, 2, seed=0)
-        before = get_flat_params(m).copy()
+        before = m.theta.copy()
         sgd_step(m, np.ones(m.n_params()), lr=0.1, momentum=0.0)
-        np.testing.assert_allclose(get_flat_params(m), before - 0.1, atol=1e-15)
+        np.testing.assert_allclose(m.theta, before - 0.1, atol=1e-15)
 
     def test_zero_grad_noop(self):
         m = init_model(1, 2, 2, 2, seed=0)
-        before = get_flat_params(m).copy()
+        before = m.theta.copy()
         sgd_step(m, np.zeros(m.n_params()), lr=0.1, momentum=0.9)
-        np.testing.assert_array_equal(get_flat_params(m), before)
+        np.testing.assert_array_equal(m.theta, before)
 
     def test_momentum_two_steps(self):
         # v1 = g, v2 = 0.9 g + g -> total displacement lr*g*(1 + 1.9)
         m = init_model(1, 2, 2, 2, seed=0)
-        before = get_flat_params(m).copy()
+        before = m.theta.copy()
         g = np.full(m.n_params(), 2.0)
         sgd_step(m, g, lr=0.1, momentum=0.9)
         sgd_step(m, g, lr=0.1, momentum=0.9)
-        np.testing.assert_allclose(get_flat_params(m), before - 0.1 * 2.0 * 2.9, atol=1e-12)
+        np.testing.assert_allclose(m.theta, before - 0.1 * 2.0 * 2.9, atol=1e-12)
 
     def test_bad_lr_rejected(self):
         m = init_model(1, 2, 2, 2, seed=0)
@@ -233,7 +237,7 @@ class TestCheckpoint:
         p = tmp_path / "ckpt.json"
         save_checkpoint(m, p)
         m2 = load_checkpoint(p)
-        np.testing.assert_array_equal(get_flat_params(m), get_flat_params(m2))
+        np.testing.assert_array_equal(m.theta, m2.theta)
         assert (m2.d_in, m2.h1, m2.h_feat, m2.n_classes) == (2, 15, 15, 2)
         assert m2.seed == 7
 
@@ -264,7 +268,9 @@ class TestCheckpoint:
         (lambda d: d["params"]["b1"].__setitem__(0, "x"), "b1"),
         (lambda d: d["dims"].pop("h_feat"), "h_feat"),
         (lambda d: d["dims"].__setitem__("h1", 4), "W1"),
-    ], ids=["non-finite", "missing-param", "non-numeric", "missing-dim", "dims-mismatch"])
+        (lambda d: d["dims"].__setitem__("n_classes", True), "n_classes"),
+    ], ids=["non-finite", "missing-param", "non-numeric", "missing-dim", "dims-mismatch",
+            "dim-bool"])
     def test_bad_checkpoint_rejected(self, tmp_path, edit, named):
         import json
 
@@ -276,19 +282,47 @@ class TestCheckpoint:
         with pytest.raises(InvalidInputError, match=named):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("content,error,named", [
+        (b"[1, 2]", InvalidInputError, "JSON object"),
+        (b'{"format_version": 1, "dims": [], "params": {}}', InvalidInputError, "dims"),
+        (b'{"format_version": 1, "dims": {}, "params": []}', InvalidInputError, "params"),
+        (b"not json", ParseError, "ckpt.json: not valid JSON"),
+        (b'{"format_version": 1, "seed": "\xff"}', ParseError, "ckpt.json: not UTF-8"),
+        ("x", InvalidInputError, "seed"),
+        (1.5, InvalidInputError, "seed"),
+        (-1, InvalidInputError, "seed"),
+        (True, InvalidInputError, "seed"),
+    ], ids=["array", "dims-list", "params-list", "not-json", "not-utf8",
+            "seed-str", "seed-float", "seed-negative", "seed-bool"])
+    def test_malformed_file_fails_at_the_boundary(self, tmp_path, content, error, named):
+        import json
+
+        p = tmp_path / "ckpt.json"
+        if isinstance(content, bytes):
+            p.write_bytes(content)
+        else:   # a seed value in an otherwise valid checkpoint
+            save_checkpoint(init_model(2, 3, 3, 2, seed=0), p)
+            doc = json.loads(p.read_text())
+            doc["seed"] = content
+            p.write_text(json.dumps(doc))
+        with pytest.raises(error, match=named):
+            load_checkpoint(p)
+
 
 class TestFlatParams:
     def test_round_trip(self):
+        # every named parameter is a view into theta, so copying theta
+        # copies the model
         m = init_model(3, 4, 5, 2, seed=1)
-        flat = get_flat_params(m)
         m2 = init_model(3, 4, 5, 2, seed=9)
-        set_flat_params(m2, flat)
-        np.testing.assert_array_equal(get_flat_params(m2), flat)
+        m2.theta[...] = m.theta
+        for name in PARAM_NAMES:
+            np.testing.assert_array_equal(m2.params()[name], m.params()[name])
 
     def test_wrong_length_rejected(self):
         m = init_model(3, 4, 5, 2, seed=1)
         with pytest.raises(ShapeError):
-            set_flat_params(m, np.zeros(m.n_params() - 1))
+            m.views(np.zeros(m.n_params() - 1))
 
     def test_predict_labels_matches_argmax(self):
         m = init_model(2, 4, 4, 3, seed=2)

@@ -9,7 +9,7 @@ from sfdalab import numerics, orchestrator
 from sfdalab.bank import MemoryBank
 from sfdalab.datasets import Dataset, MoonsConfig, make_twin_moons, rotate_dataset
 from sfdalab.errors import ConfigError, DivergenceError, InvalidInputError, ShapeError
-from sfdalab.model import get_flat_params, init_model
+from sfdalab.model import init_model
 from sfdalab.orchestrator import (
     OBJECTIVES,
     AdaptConfig,
@@ -35,7 +35,7 @@ def small_cfg(**kw):
 
 def strip_labels(ds):
     return Dataset(X=ds.X.copy(), labels=np.full(len(ds), -1, dtype=np.int64),
-                   domain=ds.domain, num_classes=ds.num_classes)
+                   num_classes=ds.num_classes)
 
 
 class TestAdaptConfig:
@@ -63,6 +63,7 @@ class TestAdaptConfig:
         dict(bank_mode="lru"),
         dict(bank_mode="ring", ring_capacity=2, k=2),
         dict(snd_tau=0.0),
+        dict(seed=-1),
     ])
     def test_validate_rejects(self, kw):
         with pytest.raises(ConfigError):
@@ -82,8 +83,17 @@ class TestAdaptConfig:
         with pytest.raises(ConfigError, match=next(iter(kw))):
             small_cfg(**kw).validate()
 
+    @pytest.mark.parametrize("name,value", [
+        ("k", 2.5), ("batch_size", 16.5), ("epochs", 1.5), ("ring_capacity", 20.5),
+        ("seed", 1.5), ("seed", "0"),
+    ])
+    def test_validate_rejects_non_integers(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            small_cfg(**{name: value}).validate()
+
     def test_valid_config_passes(self):
         small_cfg().validate()
+        small_cfg(k=np.int64(2), seed=np.int64(3)).validate()
         small_cfg(bank_mode="ring", ring_capacity=40).validate()
         small_cfg(beta=np.inf).validate()  # the limit of ever faster decay
 
@@ -99,16 +109,16 @@ class TestPretrainSource:
     def test_zero_epochs_is_noop(self):
         ds = small_moons()
         model = init_model(2, 8, 8, 2, seed=1)
-        before = get_flat_params(model).copy()
+        before = model.theta.copy()
         model, report = pretrain_source(model, ds, epochs=0, lr=0.01)
-        assert np.array_equal(get_flat_params(model), before)
+        assert np.array_equal(model.theta, before)
         assert 0.0 <= report.accuracy <= 1.0
 
     def test_deterministic(self):
         ds = small_moons()
         a = pretrain_source(init_model(2, 8, 8, 2, seed=2), ds, 10, 0.01, seed=5)[0]
         b = pretrain_source(init_model(2, 8, 8, 2, seed=2), ds, 10, 0.01, seed=5)[0]
-        assert np.array_equal(get_flat_params(a), get_flat_params(b))
+        assert np.array_equal(a.theta, b.theta)
 
     @pytest.mark.parametrize("batch_size", [0, -5])
     def test_rejects_batch_size_below_one(self, batch_size):
@@ -120,6 +130,19 @@ class TestPretrainSource:
     def test_rejects_bad_lr(self, lr):
         with pytest.raises(ConfigError, match="lr"):
             pretrain_source(init_model(2, 8, 8, 2, seed=0), small_moons(), 1, lr)
+
+    @pytest.mark.parametrize("kw,message", [
+        (dict(epochs=1.5), "epochs must be an integer"),
+        (dict(batch_size=16.5), "batch_size must be an integer"),
+        (dict(seed=1.5), "seed must be an integer"),
+        (dict(seed=-1), "seed must be >= 0"),
+    ], ids=["epochs", "batch_size", "seed", "seed-negative"])
+    def test_rejects_non_integers_and_negative_seed_at_entry(self, kw, message):
+        model = init_model(2, 8, 8, 2, seed=0)
+        before = model.theta.copy()
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            pretrain_source(model, small_moons(), **{"epochs": 1, "lr": 0.01, **kw})
+        assert np.array_equal(model.theta, before)
 
     def test_rejects_unlabeled_source(self):
         ds = strip_labels(small_moons())
@@ -158,9 +181,9 @@ def pretrained(seed=0, n=80):
 class TestAdapt:
     def test_zero_epochs_keeps_params_and_empty_history(self):
         model, tgt = pretrained()
-        before = get_flat_params(model).copy()
+        before = model.theta.copy()
         model, hist = adapt(model, tgt, small_cfg(epochs=0))
-        assert np.array_equal(get_flat_params(model), before)
+        assert np.array_equal(model.theta, before)
         assert hist.loss == [] and hist.acc == []
 
     def test_history_lengths(self):
@@ -172,6 +195,20 @@ class TestAdapt:
         assert len(hist.acc) == len(hist.snd) == 3
         assert len(hist.ratio_same) == len(hist.ratio_correct) == 3
 
+    @pytest.mark.parametrize("kw,message", [
+        (dict(seed=-1), "seed must be >= 0"),
+        (dict(k=2.5), "k must be an integer"),
+        (dict(epochs=1.5), "epochs must be an integer"),
+        (dict(bank_mode="ring", ring_capacity=20.5), "ring_capacity must be an integer"),
+    ], ids=["seed-negative", "k", "epochs", "ring_capacity"])
+    def test_bad_config_rejected_at_entry(self, kw, message):
+        # the error comes from validation, not from a training step
+        model = init_model(2, 8, 8, 2, seed=0)
+        before = model.theta.copy()
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            adapt(model, small_moons(), small_cfg(**kw))
+        assert np.array_equal(model.theta, before)
+
     def test_target_smaller_than_batch_rejected(self):
         model, tgt = pretrained()
         with pytest.raises(ConfigError):
@@ -182,14 +219,14 @@ class TestAdapt:
         m1, h1 = adapt(model.clone(), tgt, small_cfg(epochs=2))
         m2, h2 = adapt(model.clone(), tgt, small_cfg(epochs=2))
         assert h1.to_json() == h2.to_json()
-        assert np.array_equal(get_flat_params(m1), get_flat_params(m2))
+        assert np.array_equal(m1.theta, m2.theta)
 
     def test_label_hygiene(self):
         # removing target labels must not change the learned parameters
         model, tgt = pretrained()
         m1, h1 = adapt(model.clone(), tgt, small_cfg(epochs=2))
         m2, h2 = adapt(model.clone(), strip_labels(tgt), small_cfg(epochs=2))
-        assert np.array_equal(get_flat_params(m1), get_flat_params(m2))
+        assert np.array_equal(m1.theta, m2.theta)
         assert h1.loss == h2.loss
         assert all(a is None for a in h2.acc)
         assert all(c is None for c in h2.ratio_correct)
@@ -198,7 +235,7 @@ class TestAdapt:
         model, tgt = pretrained()
         m1, h1 = adapt(model.clone(), tgt, small_cfg(objective="AaDNoDecay", beta=3.0))
         m2, h2 = adapt(model.clone(), tgt, small_cfg(objective="AaD", beta=0.0))
-        assert np.array_equal(get_flat_params(m1), get_flat_params(m2))
+        assert np.array_equal(m1.theta, m2.theta)
         assert h1.loss == h2.loss
 
     def test_recorded_lambda_per_objective(self):
@@ -365,9 +402,9 @@ class TestSweepBeta:
     def test_uses_same_start_for_every_run(self):
         # the sweep must not mutate the supplied model
         model, tgt = pretrained()
-        before = get_flat_params(model).copy()
+        before = model.theta.copy()
         sweep_beta(model, tgt, [1.0], small_cfg(epochs=1), seeds=[0])
-        assert np.array_equal(get_flat_params(model), before)
+        assert np.array_equal(model.theta, before)
 
 
 class TestBlasThreads:
@@ -397,7 +434,7 @@ class TestBlasThreads:
         model, tgt = pretrained()
         X = tgt.X.copy()
         X[3, 0] = np.nan
-        bad = Dataset(X=X, labels=tgt.labels, domain=tgt.domain, num_classes=2)
+        bad = Dataset(X=X, labels=tgt.labels, num_classes=2)
         with pytest.raises(InvalidInputError):
             adapt(model, bad, small_cfg())
         assert blas_threads() == 2
@@ -417,4 +454,4 @@ class TestBlasThreads:
         m2, h2 = adapt(model.clone(), tgt, cfg)
         assert seen and set(seen) == {2}
         assert h1.to_json() == h2.to_json()
-        assert get_flat_params(m1).tobytes() == get_flat_params(m2).tobytes()
+        assert m1.theta.tobytes() == m2.theta.tobytes()
