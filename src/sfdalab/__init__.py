@@ -8,7 +8,6 @@ from .datasets import (
     load_csv_dataset,
     make_twin_moons,
     rotate_dataset,
-    save_csv_dataset,
 )
 from .errors import (
     ConfigError,
@@ -42,7 +41,6 @@ from .model import (
 )
 from .numerics import (
     finite_diff_grad,
-    l2_normalize_rows,
     max_relative_error,
     softmax_rows,
 )
@@ -51,7 +49,6 @@ from .objectives import (
     attract_disperse_loss,
     bnm_loss,
     cross_entropy_loss,
-    disperse_only_loss,
     exact_aad_nll,
     infonce_loss,
     jensen_upper_bound,
@@ -89,7 +86,6 @@ __all__ = [
     "classification_report",
     "cross_entropy_loss",
     "decision_grid",
-    "disperse_only_loss",
     "evaluate_model",
     "exact_aad_nll",
     "finite_diff_grad",
@@ -97,7 +93,6 @@ __all__ = [
     "infonce_loss",
     "init_model",
     "jensen_upper_bound",
-    "l2_normalize_rows",
     "lambda_schedule",
     "load_checkpoint",
     "load_csv_dataset",
@@ -110,7 +105,6 @@ __all__ = [
     "pretrain_source",
     "rotate_dataset",
     "save_checkpoint",
-    "save_csv_dataset",
     "sgd_step",
     "snd_score",
     "softmax_rows",

@@ -9,10 +9,8 @@ lower sample id, so results are deterministic; a zero-norm row, or every
 row for a zero-norm query, has a similarity below every cosine.
 
 Next to each feature row the bank keeps its unit-norm copy, written once
-by ``update``, so a cosine is one product of unit rows. A retrieval
-normalises only queries it does not hold: queries that are the stored
-rows of their excluded ids (the batch just written, or a snapshot of the
-bank) reuse the stored unit rows, which are the same bits.
+by ``update``, so a retrieval normalises only its queries, and a cosine
+is one product of unit rows.
 """
 
 from __future__ import annotations
@@ -151,10 +149,11 @@ class MemoryBank:
         similarity -2, below every cosine, so they come last, in id
         order. ``exclude_ids`` gives one sample id per query, and its row
         is never returned for that query. A bank must hold more than k
-        rows, so at least k are left after the exclusion. A cosine is the
-        product of the unit query row and the unit row ``update`` stored
-        (``numerics.unit_rows``, which rescales rows with tiny or huge
-        entries first, so their cosines neither underflow nor overflow).
+        rows, so at least k are left after the exclusion. Every query is
+        normalised (``numerics.unit_rows``, which rescales rows with tiny or
+        huge entries first, so their cosines neither underflow nor
+        overflow), and a cosine is the product of the unit query row and
+        the unit row ``update`` stored.
         """
         k = as_index(k, "k")
         if k < 1:
@@ -168,7 +167,6 @@ class MemoryBank:
         cand_ids, cand_unit = self.sample_ids.take(slots), self.unit.take(slots, axis=0)
         zero_cands = self.zero_norm.take(slots)
         nq, n = Q.shape[0], cand_ids.size
-        zero_queries = None
 
         # candidates are in id order and hold each id once, so query r's
         # excluded id, if stored, sits at position pos[r]
@@ -178,18 +176,7 @@ class MemoryBank:
                 raise ShapeError("exclude_ids must supply one id per query row")
             pos = np.searchsorted(cand_ids, excl)
             hit = np.flatnonzero(cand_ids.take(pos, mode="clip") == excl)
-            # Queries that are the stored rows of their excluded ids (the
-            # batch just written, or a snapshot) take the stored unit rows:
-            # unit_rows works row by row, so these are the bits it would
-            # return. (== holds between -0.0 and 0.0; those unit rows give
-            # cosines that differ at most in the sign of a zero, which
-            # ranks the same.)
-            if hit.size == nq:
-                stored = slots.take(pos)
-                if (self.features.take(stored, axis=0) == Q).all():
-                    Q, zero_queries = self.unit.take(stored, axis=0), self.zero_norm.take(stored)
-        if zero_queries is None:
-            Q, zero_queries = unit_rows(Q)
+        Q, zero_queries = unit_rows(Q)
 
         # Each query ranks its own row of similarities, so queries go in
         # blocks of rows through reused work arrays. argmax returns the

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ShapeError
+from .errors import ConfigError, ParseError, ShapeError
+from .numerics import as_index, as_real
 
 
 @dataclass
@@ -60,6 +61,13 @@ def make_twin_moons(cfg: MoonsConfig) -> Dataset:
     dataset bit for bit. A nonzero ``rotation_deg`` rotates the finished
     cloud, yielding a target-domain dataset.
     """
+    try:
+        for name in ("n_per_class", "seed"):
+            as_index(getattr(cfg, name), name)
+        for name in ("noise_sigma", "rotation_deg"):
+            as_real(getattr(cfg, name), name)
+    except ConfigError as exc:
+        raise ShapeError(str(exc)) from None
     if cfg.n_per_class < 1:
         raise ShapeError("n_per_class must be >= 1")
     if not (math.isfinite(cfg.noise_sigma) and cfg.noise_sigma >= 0):

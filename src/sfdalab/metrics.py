@@ -8,6 +8,7 @@ boundary grids exported as CSV for plotting.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ import numpy as np
 from .bank import MemoryBank
 from .errors import ConfigError, InsufficientDataError, ShapeError
 from .model import MlpModel, forward, predict_labels
-from .numerics import as_matrix, l2_normalize_rows, row_blocks, scratch, single_blas_thread
+from .numerics import as_matrix, row_blocks, scratch, single_blas_thread, unit_rows
 
 SND_TAU = 0.05
 RATIO_K = 3
@@ -100,7 +101,7 @@ def snd_score(P_target, tau: float = SND_TAU) -> float:
         raise InsufficientDataError("SND needs at least 2 rows")
     if not (math.isfinite(tau) and tau > 0):
         raise ConfigError(f"tau must be finite and positive, got {tau!r}")
-    U = l2_normalize_rows(P)
+    U = unit_rows(P)[0]
     n, c = U.shape
     U1T = np.vstack((U.T, np.ones(n)))            # [U | 1]^T, C-contiguous
     ent = np.empty(n)
@@ -201,32 +202,38 @@ def evaluate_model(model: MlpModel, X, labels, num_classes: int) -> EvalReport:
     return classification_report(pred, labels, num_classes)
 
 
-@single_blas_thread()
-def build_report(model: MlpModel, X, labels, num_classes: int,
-                 tau: float = SND_TAU) -> dict:
-    """Full evaluation dict with the fixed key set accuracy, per_class,
-    snd, ratios. Keys that cannot be computed are null: accuracy and
-    per_class need labels (-1 marks an unlabeled sample, which they
-    skip), snd needs 2 samples and ratios more than 3."""
-    X = as_matrix(X, "X")
+def score_predictions(P, labels, num_classes: int, bank: MemoryBank,
+                      tau: float = SND_TAU) -> dict:
+    """Score the predictions ``P`` of a whole dataset, and the bank of its
+    features, with the fixed key set accuracy, per_class, snd, ratios.
+    Keys that cannot be computed are null: accuracy and per_class need
+    labels (-1 marks an unlabeled sample, which they skip), snd needs 2
+    rows and ratios a bank of more than RATIO_K rows."""
     labels = np.asarray(labels, dtype=np.int64)
-    cache = forward(model, X)
-    pred = np.argmax(cache.P, axis=1)
     report = {"accuracy": None, "per_class": None, "snd": None, "ratios": None}
     has_labels = bool((labels >= 0).any())
     if has_labels:
-        er = classification_report(pred, labels, num_classes)
-        report["accuracy"] = er.accuracy
-        report["per_class"] = er.to_dict()["per_class"]
-    if X.shape[0] >= 2:
-        report["snd"] = snd_score(cache.P, tau=tau)
-    if X.shape[0] > RATIO_K:
-        bank = MemoryBank(mode="full", capacity=X.shape[0],
-                          feat_dim=model.h_feat, n_classes=model.n_classes)
-        bank.update(np.arange(X.shape[0]), cache.features, cache.P)
+        er = classification_report(np.argmax(P, axis=1), labels, num_classes)
+        report["accuracy"], report["per_class"] = er.accuracy, er.to_dict()["per_class"]
+    with contextlib.suppress(InsufficientDataError):
+        report["snd"] = snd_score(P, tau=tau)
+    with contextlib.suppress(InsufficientDataError):
         same, correct = agreement_ratios(bank, labels if has_labels else None)
         report["ratios"] = {"same": same, "correct": correct}
     return report
+
+
+@single_blas_thread()
+def build_report(model: MlpModel, X, labels, num_classes: int,
+                 tau: float = SND_TAU) -> dict:
+    """``score_predictions`` of the model on X, with the ratios over a
+    full bank of X's features."""
+    X = as_matrix(X, "X")
+    cache = forward(model, X)
+    bank = MemoryBank(mode="full", capacity=max(X.shape[0], 1),
+                      feat_dim=model.h_feat, n_classes=model.n_classes)
+    bank.update(np.arange(X.shape[0]), cache.features, cache.P)
+    return score_predictions(cache.P, labels, num_classes, bank, tau)
 
 
 def write_report_json(path, report: dict) -> None:

@@ -15,6 +15,7 @@ import ctypes
 import functools
 import glob
 import math
+import numbers
 import operator
 import os
 import threading
@@ -179,6 +180,14 @@ def as_index(value, name: str) -> int:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
+def as_real(value, name: str):
+    """``value`` itself; ConfigError naming ``name`` unless it is a real
+    number (a Python or numpy int or float, not a string)."""
+    if not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 def require_simplex_rows(P: np.ndarray, tol: float = 1e-6, name: str = "P") -> np.ndarray:
     """Check every row of ``P`` lies on the probability simplex within ``tol``."""
     P = as_matrix(P, name)
@@ -234,12 +243,6 @@ def unit_rows(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     zero = norms == 0.0
     norms[zero] = 1.0
     return rows / norms[:, None], zero
-
-
-def l2_normalize_rows(M) -> np.ndarray:
-    """Scale each row to unit Euclidean norm (``unit_rows``) after checking
-    that ``M`` is a finite matrix; zero rows pass through unchanged."""
-    return unit_rows(as_matrix(M))[0]
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x, h: float = 1e-5) -> np.ndarray:

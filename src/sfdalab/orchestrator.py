@@ -11,14 +11,17 @@ neighbors, and otherwise in one write of the whole epoch, oldest first,
 before the epoch's evaluation. Either way the bank holds what writing
 each batch as it is forwarded would leave. The bank is seeded with a
 full forward pass before the first iteration, so retrieval always sees
-every sample (full mode) or the most recent writes (ring mode).
+every sample (full mode) or the most recent writes (ring mode). Each
+epoch ends with ``metrics.score_predictions`` of the model and the bank,
+the scorer that ``metrics.build_report`` (``sfdalab eval``) calls too.
 
-Target labels feed evaluation reports only; the gradient path never
-touches them. Every run resets the momentum buffers first and draws all
-shuffles from one seeded generator, so identical (model, data, config)
-reproduce bit-identical histories and parameters. ``pretrain_source``
-and ``adapt`` run their BLAS kernels on one thread
-(``numerics.single_blas_thread``) and restore the caller's setting after.
+Target labels feed these scores only; the gradient path never touches
+them. Every run resets the momentum buffers first and draws all shuffles
+from one seeded generator, so identical (model, data, config) reproduce
+bit-identical histories and parameters. ``pretrain_source`` and
+``adapt`` check the SGD settings they share with one function, and run
+their BLAS kernels on one thread (``numerics.single_blas_thread``) and
+restore the caller's setting after.
 """
 
 from __future__ import annotations
@@ -33,10 +36,10 @@ import numpy as np
 
 from .bank import MODES, MemoryBank
 from .datasets import Dataset
-from .errors import ConfigError, DivergenceError, InsufficientDataError, InvalidInputError
-from .metrics import SND_TAU, EvalReport, agreement_ratios, classification_report, snd_score
+from .errors import ConfigError, DivergenceError, InvalidInputError
+from .metrics import SND_TAU, EvalReport, evaluate_model, score_predictions
 from .model import MlpModel, backward, forward, sgd_step
-from .numerics import as_index, as_matrix, single_blas_thread
+from .numerics import as_index, as_matrix, as_real, single_blas_thread
 from .objectives import (
     attract_disperse_loss,
     bnm_loss,
@@ -90,22 +93,17 @@ class AdaptConfig:
         self.objective = canonical_objective(self.objective)
 
     def validate(self) -> None:
-        for name in ("k", "batch_size", "epochs", "ring_capacity", "seed"):
+        _check_sgd(self.epochs, self.batch_size, self.lr, self.momentum, self.seed)
+        for name in ("k", "ring_capacity"):
             as_index(getattr(self, name), name)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name in ("beta", "snd_tau"):
+            as_real(getattr(self, name), name)
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2")
         if self.k < 1 or self.k >= self.batch_size - 1:
             raise ConfigError("k must satisfy 1 <= k < batch_size - 1")
         if not self.beta >= 0:  # NaN fails every comparison; +inf is a legal limit
             raise ConfigError(f"beta must be >= 0, got {self.beta!r}")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ConfigError(f"lr must be finite and positive, got {self.lr!r}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError("momentum must be in [0, 1)")
         if self.bank_mode not in MODES:
             raise ConfigError(f"unknown bank_mode {self.bank_mode!r}")
         if self.bank_mode == "ring" and self.ring_capacity <= self.k:
@@ -116,7 +114,7 @@ class AdaptConfig:
 
 def canonical_objective(name: str) -> str:
     for obj in OBJECTIVES:
-        if name.lower() == obj.lower():
+        if str(name).lower() == obj.lower():
             return obj
     raise ConfigError(f"unknown objective {name!r}, expected one of {OBJECTIVES}")
 
@@ -164,6 +162,25 @@ def _step_error(exc: ValueError, where: str) -> ValueError:
     return kind(f"{where}: {exc}")
 
 
+def _check_sgd(epochs, batch_size, lr, momentum, seed) -> None:
+    """The settings pretraining and adaptation share: integer epochs >= 0,
+    batch_size >= 1 and seed >= 0, finite lr > 0, momentum in [0, 1)."""
+    for name, value in (("epochs", epochs), ("batch_size", batch_size), ("seed", seed)):
+        as_index(value, name)
+    for name, value in (("lr", lr), ("momentum", momentum)):
+        as_real(value, name)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    if epochs < 0:
+        raise ConfigError("epochs must be >= 0")
+    if batch_size < 1:
+        raise ConfigError("batch_size must be >= 1")
+    if not (math.isfinite(lr) and lr > 0):
+        raise ConfigError(f"lr must be finite and positive, got {lr!r}")
+    if not 0.0 <= momentum < 1.0:
+        raise ConfigError(f"momentum must be in [0, 1), got {momentum!r}")
+
+
 def _minibatches(rng, n: int, bs: int):
     """One epoch: the index arrays of the n // bs full batches of a fresh
     permutation of range(n); the remainder is dropped."""
@@ -181,16 +198,7 @@ def pretrain_source(model: MlpModel, source: Dataset, epochs: int, lr: float,
 
     Errors inside a step are reported as in ``adapt``, with the prefix
     ``pretrain, epoch e, iteration b``."""
-    for name, value in (("epochs", epochs), ("batch_size", batch_size), ("seed", seed)):
-        as_index(value, name)
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    if epochs < 0:
-        raise ConfigError("epochs must be >= 0")
-    if not (math.isfinite(lr) and lr > 0):
-        raise ConfigError(f"lr must be finite and positive, got {lr!r}")
-    if batch_size < 1:
-        raise ConfigError("batch_size must be >= 1")
+    _check_sgd(epochs, batch_size, lr, momentum, seed)
     if (source.labels < 0).any():
         raise InvalidInputError("source data must be fully labeled")
     if (source.labels >= model.n_classes).any():
@@ -208,9 +216,7 @@ def pretrain_source(model: MlpModel, source: Dataset, epochs: int, lr: float,
                 sgd_step(model, grad, lr, momentum)
             except ValueError as exc:
                 raise _step_error(exc, f"pretrain, epoch {epoch}, iteration {b}") from exc
-    report = classification_report(
-        np.argmax(forward(model, source.X).P, axis=1), source.labels, source.num_classes)
-    return model, report
+    return model, evaluate_model(model, source.X, source.labels, source.num_classes)
 
 
 @single_blas_thread()
@@ -250,7 +256,6 @@ def adapt(model: MlpModel, target: Dataset, cfg: AdaptConfig) -> tuple[MlpModel,
     bank.update(np.arange(n), seed_cache.features, seed_cache.P)
 
     max_iter = max(cfg.epochs * (n // cfg.batch_size), 1)
-    has_labels = bool((target.labels >= 0).any())
     no_neighbors = np.empty((cfg.batch_size, 0, model.n_classes))
     model.reset_velocity()
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
@@ -281,7 +286,7 @@ def adapt(model: MlpModel, target: Dataset, cfg: AdaptConfig) -> tuple[MlpModel,
             _write_pending(bank, pending)
         except ValueError as exc:
             raise _step_error(exc, f"{cfg.objective}, epoch {epoch}") from exc
-        _record_epoch(history, model, target, bank, cfg, has_labels)
+        _record_epoch(history, model, target, bank, cfg)
     return model, history
 
 
@@ -295,23 +300,14 @@ def _write_pending(bank, pending) -> None:
     pending.clear()
 
 
-def _record_epoch(history, model, target, bank, cfg, has_labels) -> None:
-    cache = forward(model, target.X)
-    if has_labels:
-        report = classification_report(
-            np.argmax(cache.P, axis=1), target.labels, target.num_classes)
-        history.acc.append(report.accuracy)
-    else:
-        history.acc.append(None)
-    history.snd.append(snd_score(cache.P, tau=cfg.snd_tau))
-    try:
-        same, correct = agreement_ratios(bank, target.labels if has_labels else None)
-        history.ratio_same.append(same)
-        history.ratio_correct.append(correct)
-    except InsufficientDataError:
-        # ring banks smaller than the ratio neighborhood cannot be scored
-        history.ratio_same.append(None)
-        history.ratio_correct.append(None)
+def _record_epoch(history, model, target, bank, cfg) -> None:
+    report = score_predictions(forward(model, target.X).P, target.labels, target.num_classes,
+                               bank, cfg.snd_tau)
+    ratios = report["ratios"] or {"same": None, "correct": None}
+    history.acc.append(report["accuracy"])
+    history.snd.append(report["snd"])
+    history.ratio_same.append(ratios["same"])
+    history.ratio_correct.append(ratios["correct"])
 
 
 def sweep_beta(model: MlpModel, target: Dataset, betas, base_cfg: AdaptConfig,

@@ -475,6 +475,12 @@ class TestUnitRows:
                 monkeypatch.setattr(module, "rescaled_rows", counted)
         bank.knn_slots(rng.normal(size=(q, 3)), 3)
         assert rows == [q]
+        # queries that are stored rows, excluding their own ids, as in
+        # adapt and the agreement ratios, are normalised the same way
+        rows.clear()
+        ids, feats, _ = bank.snapshot()
+        bank.knn_slots(feats[:q], 3, exclude_ids=ids[:q])
+        assert rows == [q]
 
 
 def slots_per_block_size(bank, queries, k, exclude_ids):
@@ -568,10 +574,10 @@ def slots_and_rescaled_rows(bank, queries, k, exclude_ids):
 
 
 class TestStoredQueries:
-    """Queries that are the stored rows of their excluded ids reuse the
-    stored unit rows; the same queries times 2 (exact in floating point,
-    so the unit rows are the same bits) are normalised. Both must rank
-    alike, ties and zero-norm rows included."""
+    """Queries that are the stored rows of their excluded ids, as in every
+    retrieval of ``adapt`` and of the agreement ratios, and the same
+    queries times 2 (exact in floating point, so the unit rows are the
+    same bits) must rank alike, ties and zero-norm rows included."""
 
     @given(banks_with_queries())
     @settings(max_examples=200, deadline=None)
@@ -579,12 +585,9 @@ class TestStoredQueries:
         bank, queries, own_ids, k = case
         stored = bank.snapshot()[0]
         assume(min(int(np.sum(stored != i)) for i in own_ids) >= k)
-        reused, normalised_rows = slots_and_rescaled_rows(bank, queries, k, own_ids)
-        assert normalised_rows == 0
-        scaled, normalised_rows = slots_and_rescaled_rows(bank, 2.0 * queries, k, own_ids)
-        # zero rows times 2 are still the stored rows
-        assert normalised_rows == (0 if (queries == 0.0).all() else len(own_ids))
-        assert reused.tobytes() == scaled.tobytes()
+        as_is = bank.knn_slots(queries, k, exclude_ids=own_ids)
+        scaled = bank.knn_slots(2.0 * queries, k, exclude_ids=own_ids)
+        assert as_is.tobytes() == scaled.tobytes()
 
     @given(all_pairs_banks())
     @settings(max_examples=100, deadline=None)
@@ -593,11 +596,10 @@ class TestStoredQueries:
         # hold every slot, where an id's position is the id itself
         bank, k = case
         ids, feats, _ = bank.snapshot()
-        reused, normalised_rows = slots_and_rescaled_rows(bank, feats, k, ids)
-        assert normalised_rows == 0
-        scaled, _ = slots_and_rescaled_rows(bank, 2.0 * feats, k, ids)
-        assert reused.tobytes() == scaled.tobytes()
-        assert bank.sample_ids[reused].tolist() == oracle_knn_batch(bank, feats, k, ids)
+        as_is = bank.knn_slots(feats, k, exclude_ids=ids)
+        scaled = bank.knn_slots(2.0 * feats, k, exclude_ids=ids)
+        assert as_is.tobytes() == scaled.tobytes()
+        assert bank.sample_ids[as_is].tolist() == oracle_knn_batch(bank, feats, k, ids)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_queries_that_are_not_their_stored_rows_are_normalised(self, mode):

@@ -78,6 +78,11 @@ class TestMakeTwinMoons:
             MoonsConfig(rotation_deg=np.inf),
             MoonsConfig(rotation_deg=np.nan),
             MoonsConfig(seed=-1),
+            MoonsConfig(n_per_class=1.5),         # not integers, or not numbers
+            MoonsConfig(n_per_class="3"),
+            MoonsConfig(seed=1.5),
+            MoonsConfig(noise_sigma="x"),
+            MoonsConfig(rotation_deg="x"),
         ):
             with pytest.raises(ShapeError):
                 make_twin_moons(cfg)

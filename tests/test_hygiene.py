@@ -61,20 +61,26 @@ def test_checker_flags_a_wrapped_reduction():
     assert wrapped_reductions("f = np.all\nall(xs)\nsome.all(x)\n") == []
 
 
+def listed_exports(source: str) -> set[str]:
+    """The names the ``__all__`` literal of a package ``__init__`` lists."""
+    listed = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            listed.update(ast.literal_eval(node.value))
+    return listed
+
+
 def export_mismatches(source: str) -> list[str]:
     """Differences between the names a package ``__init__`` imports and
     the names its ``__all__`` literal lists; ``from __future__`` imports
     are exempt."""
-    tree = ast.parse(source)
-    imported, listed = set(), set()
-    for node in tree.body:
+    imported, listed = set(), listed_exports(source)
+    for node in ast.parse(source).body:
         if isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update(alias.asname or alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
-        elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            listed.update(ast.literal_eval(node.value))
     return ([f"imported, not in __all__: {name}" for name in sorted(imported - listed)]
             + [f"in __all__, not imported: {name}" for name in sorted(listed - imported)])
 
@@ -107,6 +113,39 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
                    if name.startswith("_") and not name.startswith("__")
                    and name not in loaded and name not in elsewhere]
     return unread
+
+
+def unread_exports(init_source: str, readers: list[str]) -> list[str]:
+    """Names of the ``__all__`` of ``init_source`` that no source of
+    ``readers`` reads: no load of the bare name, no attribute access and
+    no import of it. A ``def`` or ``class`` statement only defines its
+    name, so it is not a read."""
+    read = set()
+    for src in readers:
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(listed_exports(init_source) - read)
+
+
+def test_every_export_is_read_by_the_package_or_the_acceptance_gate():
+    # what the package's own modules and the acceptance gate read
+    readers = [p.read_text() for p in PACKAGE if p.name != "__init__.py"]
+    readers.append((ROOT / "tests" / "test_acceptance.py").read_text())
+    init = (ROOT / "src" / "sfdalab" / "__init__.py").read_text()
+    assert unread_exports(init, readers) == []
+
+
+def test_checker_flags_an_unread_export():
+    init = "from .a import f, g, h, k\n__all__ = ['f', 'g', 'h', 'k']\n"
+    a = "def f():\n    pass\n\n\ndef g():\n    return f()\n\n\nclass h:\n    pass\n\n\nk = 1\n"
+    assert unread_exports(init, [a]) == ["g", "h", "k"]
+    # read by import, attribute access or a bare name elsewhere
+    assert unread_exports(init, [a, "from .a import h\nimport a\na.k\n", "print(g)\n"]) == []
 
 
 def test_init_imports_exactly_all():

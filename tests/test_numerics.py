@@ -10,13 +10,13 @@ from sfdalab.errors import InvalidInputError, OracleError, ShapeError
 from sfdalab.numerics import (
     SCRATCH_MAX_ENTRIES,
     finite_diff_grad,
-    l2_normalize_rows,
     max_relative_error,
     require_simplex_rows,
     rescaled_rows,
     scratch,
     single_blas_thread,
     softmax_rows,
+    unit_rows,
 )
 
 
@@ -56,30 +56,35 @@ class TestSoftmaxRows:
 
 
 class TestL2NormalizeRows:
+    """``unit_rows``, the package's one row normaliser."""
+
     def test_three_four_five(self):
-        np.testing.assert_allclose(l2_normalize_rows([[3.0, 4.0]]), [[0.6, 0.8]])
+        np.testing.assert_allclose(unit_rows(np.array([[3.0, 4.0]]))[0], [[0.6, 0.8]])
 
     def test_identity_on_unit(self):
-        np.testing.assert_allclose(l2_normalize_rows([[1.0, 0.0]]), [[1.0, 0.0]])
+        np.testing.assert_allclose(unit_rows(np.array([[1.0, 0.0]]))[0], [[1.0, 0.0]])
 
     def test_zero_row_unchanged(self):
-        np.testing.assert_allclose(l2_normalize_rows([[0.0, 0.0]]), [[0.0, 0.0]])
+        rows, zero = unit_rows(np.array([[0.0, 0.0], [1.0, 0.0]]))
+        np.testing.assert_allclose(rows, [[0.0, 0.0], [1.0, 0.0]])
+        assert zero.tolist() == [True, False]
 
     @given(st.lists(st.lists(st.floats(-100, 100), min_size=2, max_size=4),
                     min_size=1, max_size=6).filter(
                         lambda rows: len({len(r) for r in rows}) == 1))
     @example(rows=[[0.0, 3.560057825048927e-162]])  # x**2 underflows
     def test_unit_or_zero_norms(self, rows):
-        out = l2_normalize_rows(rows)
+        out, zero = unit_rows(np.array(rows))
         norms = np.linalg.norm(out, axis=1)
-        for n in norms:
-            assert abs(n - 1.0) < 1e-9 or n == 0.0
+        for n, z in zip(norms, zero):
+            assert (abs(n - 1.0) < 1e-9 and not z) or (n == 0.0 and z)
 
     def test_rows_outside_the_squared_range(self):
-        rows = [[1e-170, -1e-170], [3e-320, 0.0], [1e200, 1e200]]
-        out = l2_normalize_rows(rows)
+        rows = np.array([[1e-170, -1e-170], [3e-320, 0.0], [1e200, 1e200]])
+        out, zero = unit_rows(rows)
         h = np.sqrt(0.5)
         np.testing.assert_allclose(out, [[h, -h], [1.0, 0.0], [h, h]], rtol=1e-15)
+        assert not zero.any()
 
     def test_well_scaled_rows_are_divided_by_their_norm(self):
         rng = np.random.Generator(np.random.PCG64(5))
@@ -87,7 +92,7 @@ class TestL2NormalizeRows:
         M[7] = 0.0
         norms = np.linalg.norm(M, axis=1, keepdims=True)
         want = M / np.where(norms > 0.0, norms, 1.0)
-        assert np.array_equal(l2_normalize_rows(M), want)
+        assert np.array_equal(unit_rows(M)[0], want)
 
 
 # rows of tiny (squared norm underflows), huge (squared norm overflows),

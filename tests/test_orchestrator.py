@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from sfdalab import numerics, orchestrator
+from sfdalab import metrics, numerics, orchestrator
 from sfdalab.bank import MemoryBank
 from sfdalab.datasets import Dataset, MoonsConfig, make_twin_moons, rotate_dataset
 from sfdalab.errors import ConfigError, DivergenceError, InvalidInputError, ShapeError
+from sfdalab.metrics import build_report
 from sfdalab.model import init_model
 from sfdalab.orchestrator import (
     OBJECTIVES,
@@ -46,6 +47,8 @@ class TestAdaptConfig:
     def test_unknown_objective_rejected_at_construction(self):
         with pytest.raises(ConfigError):
             AdaptConfig(objective="adversarial")
+        with pytest.raises(ConfigError, match="^unknown objective 3"):
+            AdaptConfig(objective=3)
 
     def test_canonical_objective_covers_all(self):
         for obj in OBJECTIVES:
@@ -89,6 +92,13 @@ class TestAdaptConfig:
     ])
     def test_validate_rejects_non_integers(self, name, value):
         with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            small_cfg(**{name: value}).validate()
+
+    @pytest.mark.parametrize("name,value", [
+        ("lr", "0.1"), ("momentum", "x"), ("beta", "x"), ("snd_tau", "x"),
+    ])
+    def test_validate_rejects_non_numbers(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be a real number"):
             small_cfg(**{name: value}).validate()
 
     def test_valid_config_passes(self):
@@ -142,6 +152,16 @@ class TestPretrainSource:
         before = model.theta.copy()
         with pytest.raises(ConfigError, match=f"^{message}"):
             pretrain_source(model, small_moons(), **{"epochs": 1, "lr": 0.01, **kw})
+        assert np.array_equal(model.theta, before)
+
+    @pytest.mark.parametrize("momentum,message", [
+        (1.5, "momentum must be in"), ("x", "momentum must be a real number"),
+    ])
+    def test_rejects_bad_momentum_without_epochs(self, momentum, message):
+        model = init_model(2, 8, 8, 2, seed=0)
+        before = model.theta.copy()
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            pretrain_source(model, small_moons(), epochs=0, lr=0.01, momentum=momentum)
         assert np.array_equal(model.theta, before)
 
     def test_rejects_unlabeled_source(self):
@@ -293,6 +313,22 @@ class TestAdapt:
             assert calls == [len(tgt)] + [steps * cfg.batch_size] * cfg.epochs
         else:
             assert calls == [len(tgt)] + [cfg.batch_size] * (steps * cfg.epochs)
+
+    def test_epochs_and_eval_reports_share_one_scorer(self, monkeypatch):
+        calls = []
+        real = metrics.score_predictions
+
+        def counted(P, *a, **kw):
+            calls.append(P.shape[0])
+            return real(P, *a, **kw)
+
+        for module in (metrics, orchestrator):
+            monkeypatch.setattr(module, "score_predictions", counted)
+        model, tgt = pretrained()
+        _, hist = adapt(model, tgt, small_cfg(epochs=2))
+        report = build_report(model, tgt.X, tgt.labels, 2)
+        assert calls == [len(tgt)] * 3
+        assert (report["accuracy"], report["snd"]) == (hist.acc[-1], hist.snd[-1])
 
     def test_adaptation_improves_target_accuracy(self):
         model, tgt = pretrained(seed=0, n=100)
