@@ -208,8 +208,11 @@ def score_predictions(P, labels, num_classes: int, bank: MemoryBank,
     features, with the fixed key set accuracy, per_class, snd, ratios.
     Keys that cannot be computed are null: accuracy and per_class need
     labels (-1 marks an unlabeled sample, which they skip), snd needs 2
-    rows and ratios a bank of more than RATIO_K rows."""
+    rows and ratios a bank of more than RATIO_K rows. ShapeError unless
+    ``labels`` holds one entry per row of ``P``."""
     labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != P.shape[:1]:
+        raise ShapeError(f"labels must have shape ({P.shape[0]},), got {labels.shape}")
     report = {"accuracy": None, "per_class": None, "snd": None, "ratios": None}
     has_labels = bool((labels >= 0).any())
     if has_labels:
@@ -223,17 +226,21 @@ def score_predictions(P, labels, num_classes: int, bank: MemoryBank,
     return report
 
 
+def full_bank(features, P) -> MemoryBank:
+    """A full bank of a whole dataset's forward: row i is sample i."""
+    bank = MemoryBank("full", max(len(P), 1), features.shape[1], P.shape[1])
+    bank.update(np.arange(len(P)), features, P)
+    return bank
+
+
 @single_blas_thread()
 def build_report(model: MlpModel, X, labels, num_classes: int,
                  tau: float = SND_TAU) -> dict:
     """``score_predictions`` of the model on X, with the ratios over a
-    full bank of X's features."""
-    X = as_matrix(X, "X")
-    cache = forward(model, X)
-    bank = MemoryBank(mode="full", capacity=max(X.shape[0], 1),
-                      feat_dim=model.h_feat, n_classes=model.n_classes)
-    bank.update(np.arange(X.shape[0]), cache.features, cache.P)
-    return score_predictions(cache.P, labels, num_classes, bank, tau)
+    ``full_bank`` of X's forward, as ``adapt`` scores an epoch of an
+    objective without neighbors."""
+    cache = forward(model, as_matrix(X, "X"))
+    return score_predictions(cache.P, labels, num_classes, full_bank(cache.features, cache.P), tau)
 
 
 def write_report_json(path, report: dict) -> None:

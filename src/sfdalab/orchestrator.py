@@ -4,16 +4,11 @@ and the decay-exponent sweep with SND-based selection.
 The adaptation loop follows a fixed per-iteration order: forward the
 batch, retrieve each sample's nearest neighbors (never itself) when the
 objective uses them, evaluate the configured objective, and take one SGD
-step. Bank writes follow one rule, write before read: a batch's
-features and predictions reach the memory bank right before the bank is
-next read, that is before the step's retrieval for objectives with
-neighbors, and otherwise in one write of the whole epoch, oldest first,
-before the epoch's evaluation. Either way the bank holds what writing
-each batch as it is forwarded would leave. The bank is seeded with a
-full forward pass before the first iteration, so retrieval always sees
-every sample (full mode) or the most recent writes (ring mode). Each
-epoch ends with ``metrics.score_predictions`` of the model and the bank,
-the scorer that ``metrics.build_report`` (``sfdalab eval``) calls too.
+step. Only an objective that retrieves keeps a memory bank, seeded with
+a full forward pass, and each step writes its batch right before its
+retrieval. Each epoch ends with ``metrics.score_predictions`` of the
+model and that bank, or else of a full bank of the epoch's own forward,
+as ``metrics.build_report`` (``sfdalab eval``) scores a model.
 
 Target labels feed these scores only; the gradient path never touches
 them. Every run resets the momentum buffers first and draws all shuffles
@@ -37,7 +32,7 @@ import numpy as np
 from .bank import MODES, MemoryBank
 from .datasets import Dataset
 from .errors import ConfigError, DivergenceError, InvalidInputError
-from .metrics import SND_TAU, EvalReport, evaluate_model, score_predictions
+from .metrics import SND_TAU, EvalReport, evaluate_model, full_bank, score_predictions
 from .model import MlpModel, backward, forward, sgd_step
 from .numerics import as_index, as_matrix, as_real, single_blas_thread
 from .objectives import (
@@ -223,11 +218,11 @@ def pretrain_source(model: MlpModel, source: Dataset, epochs: int, lr: float,
 def adapt(model: MlpModel, target: Dataset, cfg: AdaptConfig) -> tuple[MlpModel, RunHistory]:
     """Adapt a source-pretrained model to unlabeled target data.
 
-    Each step forwards its batch and queues the batch's ids, features and
-    predictions; the queue is written to the bank just before the bank is
-    read. An objective with neighbors writes its batch right before
-    retrieving; the others write the whole epoch in one ``update`` right
-    before the epoch's evaluation, which is the only reader of their bank.
+    An objective with neighbors keeps a bank, seeded with the whole
+    target, and each step writes its batch to it right before retrieving.
+    The others keep no bank, so ``bank_mode`` and ``ring_capacity`` do not
+    affect them, and each epoch's agreement ratios read a full bank of the
+    evaluation's own forward.
 
     The recorded lambda is the dispersion weight actually applied: the
     objective's fixed weight (0 for AttractOnly, 1 for AaDNoDecay), else
@@ -239,7 +234,7 @@ def adapt(model: MlpModel, target: Dataset, cfg: AdaptConfig) -> tuple[MlpModel,
     config are checked at entry, so a non-finite value inside a step is
     divergence: ``InvalidInputError`` and ``DivergenceError`` are re-raised
     as ``DivergenceError``, other errors keep their type. An error from
-    the end-of-epoch bank write names the objective and the epoch. The
+    an epoch's evaluation names the objective and the epoch. The
     model is not rolled back: it keeps the updates of the steps before the
     failing one, and the failing step leaves it as it was.
     """
@@ -249,30 +244,29 @@ def adapt(model: MlpModel, target: Dataset, cfg: AdaptConfig) -> tuple[MlpModel,
         raise ConfigError(f"target has {n} samples, need >= batch_size {cfg.batch_size}")
     objective = _TABLE[cfg.objective]
 
-    capacity = n if cfg.bank_mode == "full" else cfg.ring_capacity
-    bank = MemoryBank(mode=cfg.bank_mode, capacity=capacity,
-                      feat_dim=model.h_feat, n_classes=model.n_classes)
-    seed_cache = forward(model, target.X)
-    bank.update(np.arange(n), seed_cache.features, seed_cache.P)
+    bank = None
+    if objective.needs_neighbors:
+        bank = MemoryBank(cfg.bank_mode, n if cfg.bank_mode == "full" else cfg.ring_capacity,
+                          model.h_feat, model.n_classes)
+        seed_cache = forward(model, target.X)
+        bank.update(np.arange(n), seed_cache.features, seed_cache.P)
 
     max_iter = max(cfg.epochs * (n // cfg.batch_size), 1)
     no_neighbors = np.empty((cfg.batch_size, 0, model.n_classes))
     model.reset_velocity()
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     history = RunHistory()
-    pending = []    # (ids, features, predictions) of the steps not yet in the bank
     it = 0
     for epoch in range(cfg.epochs):
         for b, idx in enumerate(_minibatches(rng, n, cfg.batch_size)):
             try:
                 cache = forward(model, target.X[idx])
-                pending.append((idx, cache.features, cache.P))
                 lam = objective.lam
                 if lam is None:
                     lam = lambda_schedule(it, max_iter, cfg.beta)
                 nbr_preds = no_neighbors
-                if objective.needs_neighbors:
-                    _write_pending(bank, pending)
+                if bank is not None:
+                    bank.update(idx, cache.features, cache.P)
                     _, _, nbr_preds = bank.knn_batch(cache.features, cfg.k, exclude_ids=idx)
                 res = objective.loss(cache.P, nbr_preds, lam)
                 grad = backward(model, cache, res.grad)
@@ -283,26 +277,18 @@ def adapt(model: MlpModel, target: Dataset, cfg: AdaptConfig) -> tuple[MlpModel,
             history.lam.append(lam)
             it += 1
         try:
-            _write_pending(bank, pending)
+            _record_epoch(history, model, target, bank, cfg)
         except ValueError as exc:
             raise _step_error(exc, f"{cfg.objective}, epoch {epoch}") from exc
-        _record_epoch(history, model, target, bank, cfg)
     return model, history
 
 
-def _write_pending(bank, pending) -> None:
-    """Write the queued steps to the bank in one update, oldest first, and
-    empty the queue. An epoch's batches hold distinct ids and ``update``
-    treats rows one at a time, so this leaves the bank as writing each
-    step on its own would."""
-    if pending:
-        bank.update(*(np.concatenate(part) for part in zip(*pending)))
-    pending.clear()
-
-
 def _record_epoch(history, model, target, bank, cfg) -> None:
-    report = score_predictions(forward(model, target.X).P, target.labels, target.num_classes,
-                               bank, cfg.snd_tau)
+    """Append one epoch's scores; without a bank, over a full bank of this forward."""
+    cache = forward(model, target.X)
+    if bank is None:
+        bank = full_bank(cache.features, cache.P)
+    report = score_predictions(cache.P, target.labels, target.num_classes, bank, cfg.snd_tau)
     ratios = report["ratios"] or {"same": None, "correct": None}
     history.acc.append(report["accuracy"])
     history.snd.append(report["snd"])
@@ -327,7 +313,7 @@ def sweep_beta(model: MlpModel, target: Dataset, betas, base_cfg: AdaptConfig,
         raise ConfigError("seeds must be nonempty")
     if base_cfg.epochs < 1:
         raise ConfigError("sweep needs epochs >= 1 to score runs")
-    cfgs = [replace(base_cfg, beta=float(beta), seed=int(seed), objective="AaD")
+    cfgs = [replace(base_cfg, beta=beta, seed=seed, objective="AaD")
             for seed in seeds for beta in betas]
     for cfg in cfgs:
         cfg.validate()

@@ -286,14 +286,19 @@ def test_criterion_6_lambda_schedule():
 @pytest.fixture(scope="module")
 def snd_sweep(toy_runs):
     """Per-seed beta sweep used by criterion 7: final SND and accuracy
-    for each beta in SWEEP_BETAS, from the same pretrained models."""
+    for each beta in SWEEP_BETAS, from the same pretrained models. AaD at
+    beta = 0 is AaDNoDecay bit for bit (test_no_decay_equals_beta_zero),
+    so those runs are taken from toy_runs."""
     table = {}
     for seed in SEEDS:
         entry = toy_runs["pre"][seed]
         rows = []
         for beta in SWEEP_BETAS:
-            cfg = AdaptConfig(beta=beta, seed=seed, objective="AaD", **TOY)
-            _, hist = adapt(entry["model"].clone(), entry["target"], cfg)
+            if beta == 0.0:
+                hist = toy_runs["runs"][("AaDNoDecay", seed)]
+            else:
+                cfg = AdaptConfig(beta=beta, seed=seed, objective="AaD", **TOY)
+                _, hist = adapt(entry["model"].clone(), entry["target"], cfg)
             rows.append({"beta": beta, "snd": hist.snd[-1], "acc": hist.acc[-1]})
         table[seed] = rows
     return table

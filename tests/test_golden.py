@@ -1,6 +1,8 @@
 """Golden hashes: SHA-256 of the history JSON and the checkpoint bytes of
 short adaptation runs on the seed-0 toy protocol: every objective with a
 full bank, and AaD, NC, DisperseOnly and MI with a 128-slot ring.
+DisperseOnly and MI retrieve no neighbors and keep no bank, so their
+ring hashes equal their full-bank ones.
 
 These pin the exact floating-point behaviour of the adaptation loop, so a
 refactor or speed-up that claims "same results" can prove it. The values
@@ -19,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from sfdalab import orchestrator
 from sfdalab.datasets import MoonsConfig, make_twin_moons, rotate_dataset
 from sfdalab.model import init_model, save_checkpoint
 from sfdalab.orchestrator import AdaptConfig, adapt, pretrain_source
@@ -45,13 +48,13 @@ GOLDEN = {
         "8d4b87978775e47ebbdc18f81378bad75b9e4da80c4adeeea5439aae11dc4fb9",
         "0d36209efd9065ca564d02198790c9a3d38deec50c4a14db4df9c7c7cf8107e6"),
     ("DisperseOnly", 0.25, "full"): (
-        "eca3f6d372b7bf90f966fe2dc8e95772f993b438ab62e250dc34f5e7a3831313",
+        "bbf401d4817169afc1703d39189bcac1e996db86eb82841ff6858a972556a9e9",
         "ed989f03bbf107a55c866b13a1ac8d05cd0eced5d683f746bf8c410a873648a5"),
     ("MI", 0.25, "full"): (
-        "cc59fb0883c7ef9d27a30dfdf949fc1db6cfeb7f44d1aaf6393e798db5b33c80",
+        "fd3801a32b8ad84efdfb39f537f79ae6db94a6018898efa4fee892530b5231dc",
         "da07a85c42f0079b8da3b1844ee113472bb174a411aa724019d5cf3db07dadfa"),
     ("BNM", 0.25, "full"): (
-        "7f0b76e7e3ed0222450ff7bc6793525fea2fc14ea32fee7600d38a011021f4b6",
+        "e9e434c8b160e490a399f1e6c978b8b90200300505e362714db87649e8624208",
         "ab503a4d29f670149c890df156c99582f4c2df69a413ada4d265e3149e96c333"),
     ("AaD", 0.25, "ring128"): (
         "f8114cb859ad299ae3c78a66c1b8e5d60137405bd0231f4a8dae433caf2868e4",
@@ -60,10 +63,10 @@ GOLDEN = {
         "2516a25b3584942facea3320f20e1f9196f827aec172dcc1ed957cde6aaa163e",
         "405f0ec702f2265dfb2d9caf0805f7459d744c97e020c2d3e15ee95543cc61a9"),
     ("DisperseOnly", 0.25, "ring128"): (
-        "d655064872abf797a69300c1de10443019a384d2411e37fc7fd0c21b10865e2f",
+        "bbf401d4817169afc1703d39189bcac1e996db86eb82841ff6858a972556a9e9",
         "ed989f03bbf107a55c866b13a1ac8d05cd0eced5d683f746bf8c410a873648a5"),
     ("MI", 0.25, "ring128"): (
-        "83e0c1c2d7f464bd8b16b3e3e46e3c0e5fe7fbd788535c728f3075227e8f55a5",
+        "fd3801a32b8ad84efdfb39f537f79ae6db94a6018898efa4fee892530b5231dc",
         "da07a85c42f0079b8da3b1844ee113472bb174a411aa724019d5cf3db07dadfa"),
 }
 
@@ -110,6 +113,15 @@ def test_full_mode_golden_hashes(seed0_pretrained, tmp_path, objective, beta):
 @pytest.mark.parametrize("objective,beta", cases("ring128"))
 def test_ring_mode_golden_hashes(seed0_pretrained, tmp_path, objective, beta):
     check_hashes(seed0_pretrained, tmp_path, objective, beta, "ring128")
+
+
+def test_ring_twins_of_objectives_without_neighbors_equal_full():
+    # MI and DisperseOnly keep no bank, so bank_mode cannot change their bytes
+    twins = [(objective, beta) for objective, beta in cases("ring128")
+             if not orchestrator._TABLE[objective].needs_neighbors]
+    assert twins
+    for objective, beta in twins:
+        assert GOLDEN[(objective, beta, "ring128")] == GOLDEN[(objective, beta, "full")]
 
 
 def print_golden():

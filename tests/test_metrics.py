@@ -367,6 +367,13 @@ class TestBuildReport:
         assert rep["snd"] is not None
         assert rep["ratios"]["correct"] is None
 
+    @pytest.mark.parametrize("labels", [np.full(5, -1), np.full((30, 1), -1)],
+                             ids=["short", "column"])
+    def test_one_label_per_row_required(self, labels):
+        # unlabeled arrays never reach classification_report's shape check
+        with pytest.raises(ShapeError, match=r"labels must have shape \(30,\)"):
+            build_report(self.model, self.X, labels, 2)
+
     def test_matches_evaluate_model(self):
         rep = build_report(self.model, self.X, self.labels, 2)
         er = evaluate_model(self.model, self.X, self.labels, 2)

@@ -280,23 +280,20 @@ class TestAdapt:
             adapt(model, tgt, small_cfg(objective=objective, epochs=1, lr=1e300))
 
     def test_epoch_write_error_names_objective_and_epoch(self, monkeypatch):
-        model, tgt = pretrained()
-        update = MemoryBank.update
-
+        # MI keeps no bank, so its one write per epoch is the evaluation's
         def failing_update(self, ids, feats, preds):
-            if self.filled:  # every write after the seed write
-                raise InvalidInputError("predictions contains non-finite entries")
-            return update(self, ids, feats, preds)
+            raise InvalidInputError("predictions contains non-finite entries")
 
         monkeypatch.setattr(MemoryBank, "update", failing_update)
+        model, tgt = pretrained()
         with pytest.raises(DivergenceError, match=r"^MI, epoch 0: predictions"):
             adapt(model, tgt, small_cfg(objective="MI", epochs=1))
 
     @pytest.mark.parametrize("objective", OBJECTIVES)
     def test_bank_written_once_per_read(self, objective, monkeypatch):
-        # objectives with neighbors write each step before retrieving;
-        # the others write each epoch once, before its evaluation; both
-        # after the seed write
+        # objectives with neighbors write the seed, then each step before
+        # retrieving; the others keep no bank, and each epoch's evaluation
+        # writes one full bank of its own forward
         calls = []
         update = MemoryBank.update
 
@@ -310,9 +307,19 @@ class TestAdapt:
         adapt(model, tgt, cfg)
         steps = len(tgt) // cfg.batch_size
         if objective in ("MI", "BNM", "DisperseOnly"):
-            assert calls == [len(tgt)] + [steps * cfg.batch_size] * cfg.epochs
+            assert calls == [len(tgt)] * cfg.epochs
         else:
             assert calls == [len(tgt)] + [cfg.batch_size] * (steps * cfg.epochs)
+
+    @pytest.mark.parametrize("objective", ("MI", "BNM", "DisperseOnly"))
+    def test_bank_mode_does_not_affect_objectives_without_neighbors(self, objective):
+        model, tgt = pretrained()
+        assert len(tgt) > 128  # a ring would hold only part of the target
+        full, full_hist = adapt(model.clone(), tgt, small_cfg(objective=objective))
+        ring, ring_hist = adapt(model.clone(), tgt, small_cfg(objective=objective, bank_mode="ring",
+                                                              ring_capacity=128))
+        assert full_hist.to_json() == ring_hist.to_json()
+        assert np.array_equal(full.theta, ring.theta)
 
     def test_epochs_and_eval_reports_share_one_scorer(self, monkeypatch):
         calls = []
@@ -414,13 +421,17 @@ class TestSweepBeta:
         ([0.0, 1.0, -1.0], {}),
         ([1.0], {"epochs": 0}),
         ([1.0], {"lr": float("inf")}),
+        (["0.5"], {"seeds": [0]}),      # validate sees each beta and seed as given
+        ([0.5], {"seeds": [0, 1.5]}),
     ])
     def test_bad_input_rejected_before_the_first_run(self, betas, cfg_kw, monkeypatch):
         runs = []
         monkeypatch.setattr(orchestrator, "adapt", lambda *a: runs.append(a))
         model, tgt = pretrained()
+        cfg_kw = dict(cfg_kw)
+        seeds = cfg_kw.pop("seeds", [0, 1])
         with pytest.raises(ConfigError):
-            sweep_beta(model, tgt, betas, small_cfg(**cfg_kw), seeds=[0, 1])
+            sweep_beta(model, tgt, betas, small_cfg(**cfg_kw), seeds=seeds)
         assert runs == []
 
     def test_csv_export(self, tmp_path):
