@@ -51,8 +51,9 @@ class MemoryBank:
         mode = str(mode).lower()
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-        if capacity < 1:
-            raise ConfigError("capacity must be >= 1")
+        for name, value in (("capacity", capacity), ("feat_dim", feat_dim), ("n_classes", n_classes)):
+            if as_index(value, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
         self.mode = mode
         self.capacity = int(capacity)
         self.features = np.zeros((capacity, feat_dim))

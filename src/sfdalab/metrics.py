@@ -19,10 +19,15 @@ import numpy as np
 from .bank import MemoryBank
 from .errors import ConfigError, InsufficientDataError, ShapeError
 from .model import MlpModel, forward, predict_labels
-from .numerics import as_matrix, row_blocks, scratch, single_blas_thread, unit_rows
+from .numerics import as_index, as_matrix, as_real, row_blocks, scratch, single_blas_thread, unit_rows
 
 SND_TAU = 0.05
 RATIO_K = 3
+# SND shifts every row by 1 while 2 / tau is at most this. A row's z is
+# then at least exp(-2 / tau), and z and tau * z stay normal floats, so
+# the entropy keeps full precision: the smallest normal float is
+# exp(-708.4), and -log(tau * z) <= 2 / tau - log(tau) < 706 here
+ONE_SHIFT_MAX_EXPONENT = 700.0
 
 
 @dataclass
@@ -79,17 +84,23 @@ def snd_score(P_target, tau: float = SND_TAU) -> float:
     temperature tau, and the mean row entropy is returned. Larger values
     indicate denser, more consistent prediction neighborhoods.
 
-    With U the unit rows, s_ij = u_i . u_j and m_i = max_{j != i} s_ij,
-    row i has weights w_ij = exp((s_ij - m_i) / tau), w_ii = 0, and
+    With U the unit rows, s_ij = u_i . u_j and a shift m_i >= max_{j != i}
+    s_ij, row i has weights w_ij = exp((s_ij - m_i) / tau), w_ii = 0, and
     z_i = sum_j w_ij. Since sum_j w_ij s_ij = u_i . (W U)_i, its entropy is
 
         H_i = log z_i - (u_i . (W U)_i - m_i z_i) / (tau z_i),
 
     and both row sums come out of one product W @ [U | 1], whose last
     column is z. The exponents are one product too:
-    [U / tau | -m / tau] @ [U | 1]^T. So a block of b rows makes five
-    passes over its one b x n work array: product (s), max (m), product
-    (exponents), exp (W) and product (W [U | 1]).
+    [U / tau | -m / tau] @ [U | 1]^T.
+
+    No cosine exceeds 1, so m_i = 1 needs no search: every exponent lies
+    in [-2 / tau, 0], and while 2 / tau <= ONE_SHIFT_MAX_EXPONENT
+    (tau >= 1 / 350) every z and tau z is a normal float. A block of b
+    rows then makes three passes over its one b x n work array: product
+    (exponents), exp (W) and product (W [U | 1]). A smaller tau could
+    let a row's weights underflow, so there m_i is each row's own largest
+    cosine, found by a product (s) and a max pass first.
 
     Each row's entropy depends on that row alone, so the blocks of
     ``row_blocks`` give the n x n result. Only BLAS can tell them apart:
@@ -99,18 +110,24 @@ def snd_score(P_target, tau: float = SND_TAU) -> float:
     P = as_matrix(P_target, "P_target")
     if P.shape[0] < 2:
         raise InsufficientDataError("SND needs at least 2 rows")
+    tau = as_real(tau, "tau")
     if not (math.isfinite(tau) and tau > 0):
         raise ConfigError(f"tau must be finite and positive, got {tau!r}")
+    one_shift = 2.0 / tau <= ONE_SHIFT_MAX_EXPONENT
     U = unit_rows(P)[0]
     n, c = U.shape
     U1T = np.vstack((U.T, np.ones(n)))            # [U | 1]^T, C-contiguous
     ent = np.empty(n)
     for lo, hi in row_blocks(n):
         blk = U[lo:hi]
-        work = np.matmul(blk, U1T[:c], out=scratch("snd.work", (hi - lo, n)))
+        work = scratch("snd.work", (hi - lo, n))
         diag = (np.arange(hi - lo), np.arange(lo, hi))
-        work[diag] = -np.inf
-        m = work.max(axis=1)
+        if one_shift:
+            m = np.ones(hi - lo)
+        else:
+            np.matmul(blk, U1T[:c], out=work)
+            work[diag] = -np.inf
+            m = work.max(axis=1)
         lhs = np.hstack((blk / tau, (-m / tau)[:, None]))
         np.matmul(lhs, U1T, out=work)             # (s_ij - m_i) / tau
         work[diag] = -np.inf                      # w_ii = exp(-inf) = 0
@@ -157,10 +174,15 @@ def agreement_ratios(bank: MemoryBank, labels=None):
 def open_set_scores(os_star: float, unk: float, num_known: int) -> OdaScores:
     """HOS = harmonic mean of known-class and unknown accuracy; OS is the
     (|C_s|+1)-way weighted mean counting unknown as one extra class.
-    Inputs may be on the 0-1 or 0-100 scale; outputs match the inputs."""
+    Inputs may be on the 0-1 or 0-100 scale; outputs match the inputs.
+    ConfigError unless both accuracies are finite and non-negative and
+    num_known is an integer >= 1."""
+    for name, value in (("os_star", os_star), ("unk", unk)):
+        if not math.isfinite(as_real(value, name)):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
     if os_star < 0 or unk < 0:
         raise ConfigError("accuracies must be non-negative")
-    if num_known < 1:
+    if as_index(num_known, "num_known") < 1:
         raise ConfigError("need at least one known class")
     total = os_star + unk
     hos = 0.0 if total == 0 else 2.0 * os_star * unk / total
@@ -179,7 +201,7 @@ def decision_grid(model: MlpModel, x_range=(-1.5, 2.5), y_range=(-1.5, 2.0),
     """
     if model.d_in != 2:
         raise ShapeError("decision grids are defined for 2-D inputs only")
-    if resolution < 2:
+    if as_index(resolution, "resolution") < 2:
         raise ConfigError("resolution must be >= 2")
     xs = np.linspace(x_range[0], x_range[1], resolution)
     ys = np.linspace(y_range[0], y_range[1], resolution)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .datasets import read_utf8
 from .errors import ConfigError, DivergenceError, InvalidInputError, ParseError, ShapeError
-from .numerics import as_matrix, softmax_rows
+from .numerics import as_index, as_matrix, softmax_rows
 
 PARAM_NAMES = ("W1", "b1", "W2", "b2", "Wc", "bc")
 
@@ -102,10 +102,14 @@ class ForwardCache:
 
 def init_model(d_in: int, h1: int, h_feat: int, n_classes: int, seed: int = 0) -> MlpModel:
     """Glorot-uniform weights, zero biases, zero momentum; deterministic per
-    seed. Dims whose arrays cannot be allocated raise ShapeError naming them."""
+    seed. Every dim must be an integer >= 1 and the seed an integer >= 0,
+    else ConfigError names the field; dims whose arrays cannot be
+    allocated raise ShapeError naming them."""
     for name, dim in (("d_in", d_in), ("h1", h1), ("h_feat", h_feat), ("n_classes", n_classes)):
-        if dim < 1:
+        if as_index(dim, name) < 1:
             raise ConfigError(f"{name} must be >= 1, got {dim}")
+    if as_index(seed, "seed") < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
 
     def glorot(fan_in, fan_out):

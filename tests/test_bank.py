@@ -45,6 +45,13 @@ class TestInit:
     def test_zero_capacity_rejected(self):
         with pytest.raises(ConfigError):
             MemoryBank("full", 0, 4, 2)
+        for args, name in [((2.5, 3, 2), "capacity"), ((3, 2.5, 2), "feat_dim"),
+                           ((3, 3, 2.5), "n_classes"), ((3, -1, 2), "feat_dim"),
+                           ((3, 3, -1), "n_classes")]:
+            with pytest.raises(ConfigError, match=name):
+                MemoryBank("full", *args)
+        with pytest.raises(ConfigError, match="capacity"):
+            MemoryBank("ring", "4", 3, 2)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError):

@@ -12,7 +12,9 @@ deliberate behaviour change must re-record them and say why:
 
     PYTHONPATH=src python tests/test_golden.py
 
-prints the hashes of the current code in the literal form of ``GOLDEN``.
+prints the hashes of the current code in the literal form of ``GOLDEN``,
+and marks each case whose history or checkpoint hash differs from the
+recorded one (``# history moved``, ``# checkpoint moved``).
 """
 
 import hashlib
@@ -36,37 +38,37 @@ BANKS = {"full": dict(bank_mode="full"), "ring128": dict(bank_mode="ring", ring_
 GOLDEN = {
     # (objective, beta, bank): (history sha256, checkpoint sha256)
     ("AaD", 0.25, "full"): (
-        "a37580126c787275c8791e5b781bcdddfe71731aff6265d7801e0e7fbeca32b8",
+        "20c126ce2626b0ff013f3812ae9d1aaf39498c25f1701559a8775b8b7114abc9",
         "2d8078d8b266e6d5db867661517724ba06cfce3031c9ecccc5f8553aee3b354f"),
     ("AttractOnly", 0.0, "full"): (
-        "7ec4d439a69a7857ee3e93bd52ea98a2bddf37c258e35038aff8d24418ce86e9",
+        "6bb44cf1868b47f6cc835c0b977bd73c49b2cb7cf716e6ac08625d70fbefbf3b",
         "33ad4c9f427e43d9128c04b1f586fa68da08f570f40ca91353604b60c8621057"),
     ("AaDNoDecay", 0.0, "full"): (
-        "1738ac06fde794140912d817d305a742052490ddcb75ad7634321c8896c9d5b7",
+        "25f23de7ee2141d66b65870b3b9349fea797939c6797e52688d9b9dce37c1fa0",
         "efb906a87ef74462f64b5e60a3c99d055f79ebdfb54283b8cacc3ed091615b5b"),
     ("NC", 0.25, "full"): (
-        "8d4b87978775e47ebbdc18f81378bad75b9e4da80c4adeeea5439aae11dc4fb9",
+        "fbb342e1b51e528c3d5a71f0f5ebdf31123d05e4e1efc40a8051f8309815a6a4",
         "0d36209efd9065ca564d02198790c9a3d38deec50c4a14db4df9c7c7cf8107e6"),
     ("DisperseOnly", 0.25, "full"): (
-        "bbf401d4817169afc1703d39189bcac1e996db86eb82841ff6858a972556a9e9",
+        "4c8f39406efe5372476ad16a21097ab636121b4841dc1aea3e7083a5f03c8da9",
         "ed989f03bbf107a55c866b13a1ac8d05cd0eced5d683f746bf8c410a873648a5"),
     ("MI", 0.25, "full"): (
-        "fd3801a32b8ad84efdfb39f537f79ae6db94a6018898efa4fee892530b5231dc",
+        "f5128c273866bb4376df8a4f7e63d15fd520c44c83151b6d2aa8dba48d5198f5",
         "da07a85c42f0079b8da3b1844ee113472bb174a411aa724019d5cf3db07dadfa"),
     ("BNM", 0.25, "full"): (
-        "e9e434c8b160e490a399f1e6c978b8b90200300505e362714db87649e8624208",
+        "a432cb315f797fa69a87ef167b3268da1ce2b72c273ee2f71989627bd31a93d0",
         "ab503a4d29f670149c890df156c99582f4c2df69a413ada4d265e3149e96c333"),
     ("AaD", 0.25, "ring128"): (
-        "f8114cb859ad299ae3c78a66c1b8e5d60137405bd0231f4a8dae433caf2868e4",
+        "ef4915c75d9316b1160bc7cd059b2e6bc2135149d68a694578d2577ccb9ee847",
         "ab3d28bfdade32898a5d676cd6ca094c74317a324d617a49fc182e1c0d6c8d49"),
     ("NC", 0.25, "ring128"): (
-        "2516a25b3584942facea3320f20e1f9196f827aec172dcc1ed957cde6aaa163e",
+        "e5502ae94e86547f14a46e37cd0684b22eeb5628e5ad034575a6733213490c90",
         "405f0ec702f2265dfb2d9caf0805f7459d744c97e020c2d3e15ee95543cc61a9"),
     ("DisperseOnly", 0.25, "ring128"): (
-        "bbf401d4817169afc1703d39189bcac1e996db86eb82841ff6858a972556a9e9",
+        "4c8f39406efe5372476ad16a21097ab636121b4841dc1aea3e7083a5f03c8da9",
         "ed989f03bbf107a55c866b13a1ac8d05cd0eced5d683f746bf8c410a873648a5"),
     ("MI", 0.25, "ring128"): (
-        "fd3801a32b8ad84efdfb39f537f79ae6db94a6018898efa4fee892530b5231dc",
+        "f5128c273866bb4376df8a4f7e63d15fd520c44c83151b6d2aa8dba48d5198f5",
         "da07a85c42f0079b8da3b1844ee113472bb174a411aa724019d5cf3db07dadfa"),
 }
 
@@ -125,16 +127,19 @@ def test_ring_twins_of_objectives_without_neighbors_equal_full():
 
 
 def print_golden():
-    """Print every case's current (history, checkpoint) hashes as GOLDEN's literal."""
+    """Print every case's current (history, checkpoint) hashes as GOLDEN's
+    literal, with a trailing comment on each hash that differs from GOLDEN."""
     model, target = pretrained_seed0()
     print("GOLDEN = {")
     print("    # (objective, beta, bank): (history sha256, checkpoint sha256)")
     with tempfile.TemporaryDirectory() as tmp:
-        for objective, beta, bank in GOLDEN:
+        for (objective, beta, bank), (want_hist, want_ckpt) in GOLDEN.items():
             hist_h, ckpt_h = run_hashes(model, target, objective, beta, bank, Path(tmp))
+            hist_mark = "" if hist_h == want_hist else "  # history moved"
+            ckpt_mark = "" if ckpt_h == want_ckpt else "  # checkpoint moved"
             print(f'    ("{objective}", {beta!r}, "{bank}"): (')
-            print(f'        "{hist_h}",')
-            print(f'        "{ckpt_h}"),')
+            print(f'        "{hist_h}",{hist_mark}')
+            print(f'        "{ckpt_h}"),{ckpt_mark}')
     print("}")
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfdalab import numerics
+from sfdalab import metrics, numerics
 from sfdalab.bank import MemoryBank
 from sfdalab.errors import ConfigError, InsufficientDataError, ShapeError
 from sfdalab.metrics import (
@@ -122,10 +122,34 @@ class TestSndScore:
         with pytest.raises(ConfigError):
             snd_score(np.full((3, 2), 0.5), tau=0.0)
 
-    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf, "0.05"])
     def test_non_finite_tau_rejected(self, tau):
         with pytest.raises(ConfigError, match="tau"):
             snd_score(np.full((3, 2), 0.5), tau=tau)
+
+    def test_small_tau_keeps_the_per_row_max_shift_bits(self):
+        # recorded before the shift of 1 was added: below the threshold
+        # each row is still shifted by its own largest cosine, bit for bit
+        P = np.random.default_rng(22).dirichlet(np.full(4, 0.3), size=300)
+        assert snd_score(P, 5e-4).hex() == "0x1.358ca85d311f1p-1"
+        assert snd_score(P, 1e-3).hex() == "0x1.cd29d82f28a5ep-1"
+
+    @pytest.mark.parametrize("side", [1 + 1e-9, 1 - 1e-9])
+    @pytest.mark.parametrize("rows", ["one_hot", "antipodal"])
+    def test_both_shifts_at_the_threshold(self, side, rows):
+        # at the tau where 2 / tau meets the threshold, a row whose nearest
+        # other row is orthogonal (s = 0) or opposite (s = -1) has every
+        # weight at exp(-1 / tau) or exp(-2 / tau) under the shift of 1
+        tau = side * 2.0 / metrics.ONE_SHIFT_MAX_EXPONENT
+        if rows == "one_hot":
+            P = np.eye(3)[[0, 1, 1, 2, 2, 2]]
+        else:
+            P = np.array([[1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]])
+        got = snd_score(P, tau)
+        eps = np.finfo(np.float64).eps
+        assert np.isfinite(got)
+        assert got == pytest.approx(self.long_double_snd(P, tau), rel=1e-12,
+                                    abs=2 * (P.shape[0] + P.shape[1]) * eps / tau)
 
     @staticmethod
     def snd_per_block_size(P):
@@ -307,6 +331,12 @@ class TestOpenSetScores:
             open_set_scores(-1.0, 10.0, 3)
         with pytest.raises(ConfigError):
             open_set_scores(10.0, 10.0, 0)
+        with pytest.raises(ConfigError, match="num_known"):
+            open_set_scores(0.5, 0.5, 1.5)
+        with pytest.raises(ConfigError, match="os_star"):
+            open_set_scores(np.nan, 0.5, 2)
+        with pytest.raises(ConfigError, match="unk"):
+            open_set_scores(0.5, np.inf, 2)
 
 
 class TestDecisionGrid:
@@ -333,6 +363,8 @@ class TestDecisionGrid:
         model2 = init_model(2, 4, 4, 2, seed=0)
         with pytest.raises(ConfigError):
             decision_grid(model2, resolution=1)
+        with pytest.raises(ConfigError, match="resolution"):
+            decision_grid(model2, resolution=2.5)
 
     def test_csv_export(self, tmp_path):
         model = init_model(2, 4, 4, 2, seed=1)

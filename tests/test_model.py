@@ -59,6 +59,13 @@ class TestInitModel:
     def test_zero_dim_rejected(self):
         with pytest.raises(ConfigError):
             init_model(0, 5, 5, 2, seed=0)
+        for dims, name in [((2, 15.0, 15, 2), "h1"), ((2.0, 15, 15, 2), "d_in"),
+                           ((2, 15, "15", 2), "h_feat"), ((2, 15, 15, 2.5), "n_classes")]:
+            with pytest.raises(ConfigError, match=name):
+                init_model(*dims)
+        for seed in (1.5, -1, "0"):
+            with pytest.raises(ConfigError, match="seed"):
+                init_model(2, 15, 15, 2, seed=seed)
 
     @pytest.mark.parametrize("dims", [(2, 15, 15, 10**12), (2, 10**12, 15, 2)])
     def test_dims_too_large_to_allocate_raise_a_shape_error(self, dims):
