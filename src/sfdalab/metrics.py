@@ -90,22 +90,33 @@ def snd_score(P_target, tau: float = SND_TAU) -> float:
 
         H_i = log z_i - (u_i . (W U)_i - m_i z_i) / (tau z_i),
 
-    and both row sums come out of one product W @ [U | 1], whose last
-    column is z. The exponents are one product too:
-    [U / tau | -m / tau] @ [U | 1]^T.
+    and both row sums come out of R = W @ [U | 1], whose last column is z.
 
     No cosine exceeds 1, so m_i = 1 needs no search: every exponent lies
     in [-2 / tau, 0], and while 2 / tau <= ONE_SHIFT_MAX_EXPONENT
-    (tau >= 1 / 350) every z and tau z is a normal float. A block of b
-    rows then makes three passes over its one b x n work array: product
-    (exponents), exp (W) and product (W [U | 1]). A smaller tau could
-    let a row's weights underflow, so there m_i is each row's own largest
-    cosine, found by a product (s) and a max pass first.
+    (tau >= 1 / 350) every z and tau z is a normal float. One shift for
+    every row makes w_ij = exp((s_ij - 1) / tau) symmetric in i and j, so
+    each pair is computed once: a block of rows [lo, hi) of ``row_blocks``
+    takes only its strip of columns j >= lo. One product,
+    [U | -1]_lo:hi @ [U | 1]_lo:^T with both sides scaled by 1 / sqrt(tau),
+    gives (s_ij - 1) / tau; one exp gives the strip of W; then
+    R[lo:hi] += W @ [U | 1][lo:] adds the strip to its own rows and
+    R[hi:] += W[:, hi - lo:]^T @ [U | 1][lo:hi] adds its mirror to the
+    rows below the block. That is about n (n + 128) / 2 exponentials
+    instead of n^2. A row's sums thus add up strip by strip, so the last
+    bits of the score depend on the block height, a constant: one input
+    still gives the same bits on every run.
 
-    Each row's entropy depends on that row alone, so the blocks of
-    ``row_blocks`` give the n x n result. Only BLAS can tell them apart:
-    it may round the last bit of a product differently for a row in a
-    call with another number of rows.
+    A smaller tau could let a row's weights underflow, so there m_i is
+    each row's own largest cosine, found by a product (s) and a max pass
+    first. W is then not symmetric, and each block computes all n
+    columns of its rows: exponents [U / tau | -m / tau] @ [U | 1]^T, exp,
+    and its rows of R.
+
+    With two rows, each row's softmax is over one other row, whose weight
+    is 1: every entropy, and so the score, is exactly 0.0. It is returned
+    as such, because the shift of 1 would compute it as
+    log(exp(x)) - x, off by the rounding of exp.
     """
     P = as_matrix(P_target, "P_target")
     if P.shape[0] < 2:
@@ -113,31 +124,46 @@ def snd_score(P_target, tau: float = SND_TAU) -> float:
     tau = as_real(tau, "tau")
     if not (math.isfinite(tau) and tau > 0):
         raise ConfigError(f"tau must be finite and positive, got {tau!r}")
-    one_shift = 2.0 / tau <= ONE_SHIFT_MAX_EXPONENT
+    if P.shape[0] == 2:
+        return 0.0
     U = unit_rows(P)[0]
     n, c = U.shape
     U1T = np.vstack((U.T, np.ones(n)))            # [U | 1]^T, C-contiguous
-    ent = np.empty(n)
-    for lo, hi in row_blocks(n):
-        blk = U[lo:hi]
-        work = scratch("snd.work", (hi - lo, n))
-        diag = (np.arange(hi - lo), np.arange(lo, hi))
-        if one_shift:
-            m = np.ones(hi - lo)
-        else:
+    U1 = U1T.T                                    # [U | 1]
+    R = np.zeros((n, c + 1))                      # [W U | z]
+    if 2.0 / tau <= ONE_SHIFT_MAX_EXPONENT:
+        m = 1.0
+        K = U1T / math.sqrt(tau)                  # [U | 1]^T / sqrt(tau)
+        Q = K.T.copy()
+        Q[:, c] = -Q[:, c]                        # [U | -1] / sqrt(tau)
+        for lo, hi in row_blocks(n):
+            b = hi - lo
+            work = scratch("snd.work", (b, n - lo))
+            np.matmul(Q[lo:hi], K[:, lo:], out=work)   # (s_ij - 1) / tau
+            work[np.arange(b), np.arange(b)] = -np.inf   # w_ii = 0
+            np.exp(work, out=work)
+            R[lo:hi] += work @ U1[lo:]
+            if hi < n:
+                R[hi:] += work[:, b:].T @ U1[lo:hi]
+    else:
+        m = np.empty(n)
+        for lo, hi in row_blocks(n):
+            blk = U[lo:hi]
+            work = scratch("snd.work", (hi - lo, n))
+            diag = (np.arange(hi - lo), np.arange(lo, hi))
             np.matmul(blk, U1T[:c], out=work)
             work[diag] = -np.inf
-            m = work.max(axis=1)
-        lhs = np.hstack((blk / tau, (-m / tau)[:, None]))
-        np.matmul(lhs, U1T, out=work)             # (s_ij - m_i) / tau
-        work[diag] = -np.inf                      # w_ii = exp(-inf) = 0
-        np.exp(work, out=work)
-        wu1 = work @ U1T.T                        # [W U | z]
-        z = wu1[:, c]
-        dot = np.einsum("ij,ij->i", blk, wu1[:, :c])
-        # the difference cancels for concentrated rows, so rounding can
-        # leave an entropy a few ulps below 0; no entropy is negative
-        ent[lo:hi] = np.maximum(np.log(z) - (dot - m * z) / (tau * z), 0.0)
+            m[lo:hi] = work.max(axis=1)
+            lhs = np.hstack((blk / tau, (-m[lo:hi] / tau)[:, None]))
+            np.matmul(lhs, U1T, out=work)         # (s_ij - m_i) / tau
+            work[diag] = -np.inf                  # w_ii = exp(-inf) = 0
+            np.exp(work, out=work)
+            R[lo:hi] = work @ U1
+    z = R[:, c]
+    dot = np.einsum("ij,ij->i", U, R[:, :c])
+    # the difference cancels for concentrated rows, so rounding can leave
+    # an entropy a few ulps below 0; no entropy is negative
+    ent = np.maximum(np.log(z) - (dot - m * z) / (tau * z), 0.0)
     return float(ent.mean())
 
 
@@ -147,8 +173,10 @@ def agreement_ratios(bank: MemoryBank, labels=None):
     fraction of those whose shared label is also correct.
 
     ``labels`` is a 1-D array indexed by sample id, so it must cover the
-    largest stored id. Returns (same_ratio, correct_ratio); the second is
-    None without labels and 0.0 when no sample qualifies.
+    largest stored id; -1 marks an unlabeled sample, which the second
+    fraction skips, as ``classification_report`` does. Returns
+    (same_ratio, correct_ratio); the second is None without labels and
+    0.0 when no labeled sample qualifies.
     """
     sids, feats, preds = bank.snapshot()
     if labels is not None:
@@ -164,10 +192,11 @@ def agreement_ratios(bank: MemoryBank, labels=None):
     if labels is None:
         return same_ratio, None
     true = labels[sids]
-    qualified = int(np.sum(same))
+    counted = same & (true >= 0)
+    qualified = int(np.sum(counted))
     if qualified == 0:
         return same_ratio, 0.0
-    correct_ratio = float(np.sum(same & (own == true)) / qualified)
+    correct_ratio = float(np.sum(counted & (own == true)) / qualified)
     return same_ratio, correct_ratio
 
 
@@ -197,12 +226,17 @@ def decision_grid(model: MlpModel, x_range=(-1.5, 2.5), y_range=(-1.5, 2.0),
     """Predicted label at each node of a regular grid, for boundary plots.
 
     Returns (xs, ys, labels) with labels[i, j] the prediction at
-    (xs[j], ys[i]); rows scan y, columns scan x.
+    (xs[j], ys[i]); rows scan y, columns scan x. ConfigError unless
+    resolution is an integer >= 2 and each range's two bounds are finite
+    real numbers.
     """
     if model.d_in != 2:
         raise ShapeError("decision grids are defined for 2-D inputs only")
     if as_index(resolution, "resolution") < 2:
         raise ConfigError("resolution must be >= 2")
+    for name, bounds in (("x_range", x_range), ("y_range", y_range)):
+        if np.shape(bounds) != (2,) or not all(math.isfinite(as_real(b, name)) for b in bounds):
+            raise ConfigError(f"{name} must hold two finite numbers, got {bounds!r}")
     xs = np.linspace(x_range[0], x_range[1], resolution)
     ys = np.linspace(y_range[0], y_range[1], resolution)
     gx, gy = np.meshgrid(xs, ys)

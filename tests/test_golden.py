@@ -38,37 +38,37 @@ BANKS = {"full": dict(bank_mode="full"), "ring128": dict(bank_mode="ring", ring_
 GOLDEN = {
     # (objective, beta, bank): (history sha256, checkpoint sha256)
     ("AaD", 0.25, "full"): (
-        "20c126ce2626b0ff013f3812ae9d1aaf39498c25f1701559a8775b8b7114abc9",
+        "0e3a485d76d65d462507a9cb59a05debc277fee628b6bde464b1c744f0f8f45b",
         "2d8078d8b266e6d5db867661517724ba06cfce3031c9ecccc5f8553aee3b354f"),
     ("AttractOnly", 0.0, "full"): (
-        "6bb44cf1868b47f6cc835c0b977bd73c49b2cb7cf716e6ac08625d70fbefbf3b",
+        "65554333cf09a41ac58f2428014871746a54ae5fb697919a5f15b34920cdc405",
         "33ad4c9f427e43d9128c04b1f586fa68da08f570f40ca91353604b60c8621057"),
     ("AaDNoDecay", 0.0, "full"): (
-        "25f23de7ee2141d66b65870b3b9349fea797939c6797e52688d9b9dce37c1fa0",
+        "5eb5989e5072d6451461c0b0e1b9185b95236392d482a2eed9828aefc8e2cd77",
         "efb906a87ef74462f64b5e60a3c99d055f79ebdfb54283b8cacc3ed091615b5b"),
     ("NC", 0.25, "full"): (
-        "fbb342e1b51e528c3d5a71f0f5ebdf31123d05e4e1efc40a8051f8309815a6a4",
+        "5b669b4302efd3b9ea6f540925d9ee57e0c1b8dfd2248f39559a55df575b4593",
         "0d36209efd9065ca564d02198790c9a3d38deec50c4a14db4df9c7c7cf8107e6"),
     ("DisperseOnly", 0.25, "full"): (
-        "4c8f39406efe5372476ad16a21097ab636121b4841dc1aea3e7083a5f03c8da9",
+        "d4ce0b4c549270a7b76c21198061f1b7d11ed92016779009747eb37b99a74bfb",
         "ed989f03bbf107a55c866b13a1ac8d05cd0eced5d683f746bf8c410a873648a5"),
     ("MI", 0.25, "full"): (
-        "f5128c273866bb4376df8a4f7e63d15fd520c44c83151b6d2aa8dba48d5198f5",
+        "a8a97ebd7823820514e1030885dd89e97f8632370826558d9dc2fe05c317a7a3",
         "da07a85c42f0079b8da3b1844ee113472bb174a411aa724019d5cf3db07dadfa"),
     ("BNM", 0.25, "full"): (
-        "a432cb315f797fa69a87ef167b3268da1ce2b72c273ee2f71989627bd31a93d0",
+        "224e9d7df4cd8a6202ed48be29eb7738a40ca25b539b524a61dd424634bac2eb",
         "ab503a4d29f670149c890df156c99582f4c2df69a413ada4d265e3149e96c333"),
     ("AaD", 0.25, "ring128"): (
-        "ef4915c75d9316b1160bc7cd059b2e6bc2135149d68a694578d2577ccb9ee847",
+        "de08080bdd7503b6ef806c939197d417566aa9f3aedadb486bdb43d42187b53b",
         "ab3d28bfdade32898a5d676cd6ca094c74317a324d617a49fc182e1c0d6c8d49"),
     ("NC", 0.25, "ring128"): (
-        "e5502ae94e86547f14a46e37cd0684b22eeb5628e5ad034575a6733213490c90",
+        "e100888b8435f03be44e8ea2fdd404ae9fb85f308d0183f7010e394180830974",
         "405f0ec702f2265dfb2d9caf0805f7459d744c97e020c2d3e15ee95543cc61a9"),
     ("DisperseOnly", 0.25, "ring128"): (
-        "4c8f39406efe5372476ad16a21097ab636121b4841dc1aea3e7083a5f03c8da9",
+        "d4ce0b4c549270a7b76c21198061f1b7d11ed92016779009747eb37b99a74bfb",
         "ed989f03bbf107a55c866b13a1ac8d05cd0eced5d683f746bf8c410a873648a5"),
     ("MI", 0.25, "ring128"): (
-        "f5128c273866bb4376df8a4f7e63d15fd520c44c83151b6d2aa8dba48d5198f5",
+        "a8a97ebd7823820514e1030885dd89e97f8632370826558d9dc2fe05c317a7a3",
         "da07a85c42f0079b8da3b1844ee113472bb174a411aa724019d5cf3db07dadfa"),
 }
 

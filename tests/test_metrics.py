@@ -1,11 +1,12 @@
 """Accuracy reports, SND, agreement ratios, open-set scores, decision grids."""
 
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sfdalab import metrics, numerics
@@ -20,6 +21,7 @@ from sfdalab.metrics import (
     evaluate_model,
     open_set_scores,
     save_grid_csv,
+    score_predictions,
     snd_score,
     write_report_json,
 )
@@ -162,31 +164,26 @@ class TestSndScore:
                 out.append(snd_score(P))
         return out
 
-    @given(st.integers(2, 300), st.integers(4, 6), st.integers(0, 2**32 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_row_blocks_do_not_change_a_bit(self, n, c, seed):
-        # every row has one or four equal entries, so the normalized rows
-        # hold 0, 0.5 or 1 and their products are exact in any summation
-        # order; the result then depends on the block bookkeeping alone
-        rng = np.random.default_rng(seed)
-        P = np.zeros((n, c))
-        for row in P:
-            hot = rng.choice(c, size=rng.choice([1, 4]), replace=False)
-            row[hot] = 1.0 / hot.size
-        scores = [s.hex() for s in self.snd_per_block_size(P)]
-        assert scores[0] == scores[1] == scores[2]
-
-    @given(st.integers(2, 300), st.integers(2, 5), st.integers(1, 400),
+    @given(st.integers(2, 300), st.integers(2, 6), st.integers(1, 400), st.booleans(),
            st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_row_blocks_agree_on_any_simplex_rows(self, n, c, distinct, seed):
+    def test_row_blocks_agree_on_any_simplex_rows(self, n, c, distinct, exact, seed):
         # rows drawn from a pool of `distinct` simplex points, so small
-        # pools give exact ties and duplicate rows. BLAS may round the last
-        # bit of a product differently for a row in a call of another row
-        # count, so the scores agree to rounding, not always to the bit.
+        # pools give exact ties and duplicate rows; or, when `exact`, rows
+        # with one or four equal entries, whose normalized rows hold 0, 0.5
+        # or 1 and whose products are exact in any summation order. A
+        # row's sums add up block by block, its mirror terms from the
+        # blocks above it, so the scores agree to rounding, not to the bit;
+        # a lost or doubled term would move them far more.
         rng = np.random.default_rng(seed)
-        pool = rng.dirichlet(np.full(c, 0.3), size=distinct)
-        P = pool[rng.integers(0, distinct, size=n)]
+        if exact:
+            P = np.zeros((n, c))
+            for row in P:
+                hot = rng.choice(c, size=rng.choice([1, 4] if c >= 4 else [1]), replace=False)
+                row[hot] = 1.0 / hot.size
+        else:
+            pool = rng.dirichlet(np.full(c, 0.3), size=distinct)
+            P = pool[rng.integers(0, distinct, size=n)]
         scores = self.snd_per_block_size(P)
         assert scores[0] == pytest.approx(scores[2], rel=1e-13)
         assert scores[1] == pytest.approx(scores[2], rel=1e-13)
@@ -207,6 +204,12 @@ class TestSndScore:
     @given(st.integers(2, 300), st.integers(2, 6), st.floats(5e-4, 50.0),
            st.integers(1, 400), st.booleans(), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
+    @example(n=2, c=2, tau=49.0, distinct=2, near_one_hot=False, seed=2)
+    @example(n=128, c=3, tau=0.05, distinct=400, near_one_hot=False, seed=0)
+    @example(n=129, c=2, tau=0.05, distinct=40, near_one_hot=True, seed=1)
+    @example(n=130, c=4, tau=0.05, distinct=400, near_one_hot=False, seed=2)
+    @example(n=256, c=2, tau=0.05, distinct=400, near_one_hot=False, seed=3)
+    @example(n=257, c=6, tau=0.05, distinct=7, near_one_hot=True, seed=4)
     def test_matches_a_long_double_oracle(self, n, c, tau, distinct, near_one_hot, seed):
         # rows drawn from a pool, so small pools give duplicate rows; a
         # near-one-hot pool puts nearly all of each row's mass on one class.
@@ -269,6 +272,19 @@ class TestAgreementRatios:
         with pytest.raises(InsufficientDataError):
             agreement_ratios(bank_from(feats, preds))
 
+    def test_unlabeled_samples_left_out_of_the_correct_ratio(self):
+        # two tight clusters of four, every prediction right; rows 0 and 4
+        # carry no label and count neither as correct nor as wrong
+        feats = np.array([[1.0, 0.0], [1.0, 0.01], [1.0, -0.01], [1.0, 0.02],
+                          [0.0, 1.0], [0.01, 1.0], [-0.01, 1.0], [0.02, 1.0]])
+        preds = np.repeat([[0.9, 0.1], [0.1, 0.9]], 4, axis=0)
+        labels = np.array([-1, 0, 0, 0, -1, 1, 1, 1])
+        assert agreement_ratios(bank_from(feats, preds), labels) == (1.0, 1.0)
+        rep = score_predictions(preds, labels, 2, bank_from(feats, preds))
+        assert rep["accuracy"] == 1.0 and rep["ratios"]["correct"] == 1.0
+        # no labeled sample qualifies
+        assert agreement_ratios(bank_from(feats, preds), np.full(8, -1)) == (1.0, 0.0)
+
     @pytest.mark.parametrize("labels", [
         np.zeros((6, 1), dtype=np.int64),   # broadcast to (6, 6) before
         np.zeros(5, dtype=np.int64),        # misses sample id 5
@@ -299,6 +315,26 @@ class TestEpochEvaluationMemory:
     def test_snd_peak_below_16_mib(self):
         P = np.random.default_rng(0).dirichlet(np.ones(2), size=self.N)
         assert self.traced_peak(lambda: snd_score(P)) < 16 * 2**20
+
+    @pytest.mark.parametrize("n", [300, 1500])
+    def test_snd_exponentiates_each_pair_once(self, n, monkeypatch):
+        # the strips of one call cover every row once and hold about
+        # n (n + block) / 2 entries in all, none more than a block of full
+        # rows; a block of full rows each would hold n^2
+        shapes = []
+
+        def recording(name, shape):
+            if name == "snd.work":
+                shapes.append(tuple(shape))
+            return numerics.scratch(name, shape)
+
+        monkeypatch.setattr(metrics, "scratch", recording)
+        snd_score(np.random.default_rng(n).dirichlet(np.ones(3), size=n), 0.05)
+        block = numerics._BLOCK_ROWS
+        sizes = [math.prod(shape) for shape in shapes]
+        assert sum(rows for rows, _ in shapes) == n
+        assert max(sizes) <= block * n
+        assert sum(sizes) <= n * (n + 2 * block) / 2
 
     def test_agreement_ratios_peak_below_16_mib(self):
         rng = np.random.default_rng(1)
@@ -365,6 +401,20 @@ class TestDecisionGrid:
             decision_grid(model2, resolution=1)
         with pytest.raises(ConfigError, match="resolution"):
             decision_grid(model2, resolution=2.5)
+
+    @pytest.mark.parametrize("kw", [
+        {"x_range": (np.nan, 1.0)},
+        {"x_range": (0, np.inf)},
+        {"x_range": ("a", 1)},
+        {"y_range": (0.0, -np.inf)},
+        {"y_range": (1.0,)},
+    ], ids=["x-nan", "x-inf", "x-str", "y-neg-inf", "y-one-bound"])
+    def test_rejects_bad_ranges(self, kw):
+        # each failed deep inside before: in forward, naming an X the
+        # caller never passed, or in numpy's dtype promotion
+        model = init_model(2, 4, 4, 2, seed=0)
+        with pytest.raises(ConfigError, match=next(iter(kw))):
+            decision_grid(model, resolution=3, **kw)
 
     def test_csv_export(self, tmp_path):
         model = init_model(2, 4, 4, 2, seed=1)
