@@ -410,7 +410,7 @@ class TestDecisionGrid:
         {"y_range": (1.0,)},
     ], ids=["x-nan", "x-inf", "x-str", "y-neg-inf", "y-one-bound"])
     def test_rejects_bad_ranges(self, kw):
-        # each failed deep inside before: in forward, naming an X the
+        # unchecked, these fail deep inside: in forward, naming an X the
         # caller never passed, or in numpy's dtype promotion
         model = init_model(2, 4, 4, 2, seed=0)
         with pytest.raises(ConfigError, match=next(iter(kw))):
