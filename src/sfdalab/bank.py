@@ -1,12 +1,15 @@
 """Memory bank of target features and their predictions.
 
-Two layouts: ``full`` keeps one slot per dataset sample (slot index ==
-sample id), ``ring`` is a bounded buffer where new rows overwrite the
-oldest ones and holds at most one row per sample id: the distinct ids
-among its last ``capacity`` writes, each at its latest write. Retrieval
-is K-nearest-neighbor by cosine similarity with ties broken toward the
-lower sample id, so results are deterministic; a zero-norm row, or every
-row for a zero-norm query, has a similarity below every cosine.
+One layout for both modes: row i holds sample i, and a row that holds no
+sample reads sample id -1. A ``full`` bank holds every id written to it.
+A ``ring`` is a window over its last ``capacity`` writes: it holds the
+ids whose latest write is among them, told by each id's write number.
+Its arrays grow to the largest id written, so its memory is O(largest
+id), not O(capacity); ``adapt`` seeds it with the whole target, whose
+forward pass is O(n) anyway. Retrieval is K-nearest-neighbor by cosine
+similarity with ties broken toward the lower sample id, so results are
+deterministic; a zero-norm row, or every row for a zero-norm query, has a
+similarity below every cosine.
 
 Next to each feature row the bank keeps its unit-norm copy, written once
 by ``update``, so a retrieval normalises only its queries, and a cosine
@@ -62,75 +65,68 @@ class MemoryBank:
         self.zero_norm = np.ones(capacity, dtype=bool)
         self.predictions = np.zeros((capacity, n_classes))
         self.sample_ids = np.full(capacity, -1, dtype=np.int64)
-        self.cursor = 0
+        # the number of each id's latest write, and of all writes so far
+        self.last_write = np.zeros(capacity, dtype=np.int64)
+        self.writes = 0
         self.filled = 0
 
-    @property
-    def feat_dim(self) -> int:
-        return self.features.shape[1]
-
-    @property
-    def n_classes(self) -> int:
-        return self.predictions.shape[1]
+    def _grow(self, rows: int) -> None:
+        """Extend every per-id array to ``rows`` rows that hold no id."""
+        for name, fill in (("features", 0.0), ("unit", 0.0), ("zero_norm", True),
+                           ("predictions", 0.0), ("sample_ids", -1), ("last_write", 0)):
+            old = getattr(self, name)
+            new = np.full((rows, *old.shape[1:]), fill, dtype=old.dtype)
+            new[:len(old)] = old
+            setattr(self, name, new)
 
     def update(self, sample_ids, features, predictions) -> "MemoryBank":
-        """Write a batch of rows. Full mode overwrites the slots addressed by
-        sample id; ring mode appends at the cursor, evicting the oldest rows,
-        and clears the slot of any older copy of a written id (sample id -1),
-        so the last write of an id wins. Each written slot also gets the
-        unit-norm copy of its feature row and its zero-norm flag, which
-        retrieval reads instead of normalising the stored rows again."""
+        """Write a batch of rows, each to the row of its sample id: the
+        feature row, its unit-norm copy and zero-norm flag (which retrieval
+        reads instead of normalising the stored rows again), and the
+        prediction. Where the batch repeats an id, its last copy is
+        written. A ring then drops every id whose latest write is not
+        among its last ``capacity`` writes (sample id -1)."""
         ids = _sample_ids(sample_ids)
         feats = as_matrix(features, "features")
         preds = require_simplex_rows(predictions, tol=1e-6, name="predictions")
         if not (len(ids) == feats.shape[0] == preds.shape[0]):
             raise ShapeError("sample_ids, features and predictions must be row-aligned")
-        if feats.shape[1] != self.feat_dim or preds.shape[1] != self.n_classes:
+        if feats.shape[1] != self.features.shape[1] or preds.shape[1] != self.predictions.shape[1]:
             raise ShapeError("row width does not match bank layout")
         if ids.min(initial=0) < 0:
             raise InvalidInputError("sample ids must be non-negative")
+        top = int(ids.max(initial=-1))
+        if top >= self.sample_ids.size:
+            if self.mode == "full":
+                raise InvalidInputError(
+                    f"sample id {top} is past the full bank's capacity {self.capacity}")
+            self._grow(top + 1)
         unit, zero = unit_rows(feats)
 
-        if self.mode == "full":
-            if ids.max(initial=0) >= self.capacity:
-                raise IndexError("sample id exceeds full-mode bank capacity")
-            self.features[ids] = feats
-            self.unit[ids] = unit
-            self.zero_norm[ids] = zero
-            self.predictions[ids] = preds
-            self.sample_ids[ids] = ids
-        elif ids.size:
-            # only the last `capacity` rows of the batch survive its own
-            # writes; a batch that long overwrites every slot
-            cap = self.capacity
-            kept, feats, unit, zero, preds = ids[-cap:], feats[-cap:], unit[-cap:], zero[-cap:], preds[-cap:]
-            # the kept rows go to slots start, ..., end - 1 (mod capacity)
-            end = self.cursor + ids.size
-            start = end - kept.size
-            slots = np.arange(start, end) % cap
-            order = np.argsort(kept, kind="stable")
-            written = kept.take(order)
-            # clear the slots of older copies of the written ids
-            older = written.take(np.searchsorted(written, self.sample_ids), mode="clip")
-            self.sample_ids[older == self.sample_ids] = -1
-            self.features[slots] = feats
-            self.unit[slots] = unit
-            self.zero_norm[slots] = zero
-            self.predictions[slots] = preds
-            self.sample_ids[slots] = kept
-            # the stable order puts an id's last write last among its copies
-            earlier = written[:-1] == written[1:]
-            self.sample_ids[slots.take(order[:-1][earlier])] = -1
-            self.cursor = end % cap
+        # NumPy does not say which copy of a repeated index an assignment
+        # keeps; a repeated id leaves one copy's write number in every
+        # copy's place, and then only the last copy of each id is written
+        stamps = np.arange(self.writes, self.writes + ids.size)
+        self.writes += ids.size
+        self.last_write[ids] = stamps
+        if self.last_write.take(ids).tobytes() != stamps.tobytes():
+            keep = ids.size - 1 - np.unique(ids[::-1], return_index=True)[1]
+            ids, feats, unit, zero, preds, stamps = (
+                a.take(keep, axis=0) for a in (ids, feats, unit, zero, preds, stamps))
+            self.last_write[ids] = stamps
+        self.features[ids] = feats
+        self.unit[ids] = unit
+        self.zero_norm[ids] = zero
+        self.predictions[ids] = preds
+        self.sample_ids[ids] = ids
+        if self.mode == "ring":
+            self.sample_ids[self.last_write < self.writes - self.capacity] = -1
         self.filled = int(np.count_nonzero(self.sample_ids >= 0))
         return self
 
     def occupied(self) -> np.ndarray:
-        """Slot indices currently holding data, sorted by stored sample id."""
-        if self.mode == "full":
-            return np.flatnonzero(self.sample_ids >= 0)  # slot == sample id
-        # empty slots hold id -1, so they sort first
-        return np.argsort(self.sample_ids, kind="stable")[self.capacity - self.filled:]
+        """The ids the bank holds, ascending; each is also its row."""
+        return np.flatnonzero(self.sample_ids >= 0)
 
     def knn_batch(self, queries, k: int, exclude_ids=None):
         """Vectorized KNN for a batch of query features.
@@ -138,12 +134,12 @@ class MemoryBank:
         Returns (ids (n,k), features (n,k,h), predictions (n,k,C)); the
         feature/prediction arrays are value snapshots detached from the bank.
         """
-        slots = self.knn_slots(queries, k, exclude_ids)
-        return (self.sample_ids.take(slots), self.features.take(slots, axis=0),
-                self.predictions.take(slots, axis=0))
+        ids = self.knn_slots(queries, k, exclude_ids)
+        return ids, self.features.take(ids, axis=0), self.predictions.take(ids, axis=0)
 
     def knn_slots(self, queries, k: int, exclude_ids=None) -> np.ndarray:
-        """Bank slots (n, k) of each query's K nearest stored rows, nearest first.
+        """Sample ids (n, k) of each query's K nearest stored rows, nearest
+        first; each id is also its row of the bank's arrays.
 
         Rows rank by cosine similarity, ties toward the lower sample id;
         zero-norm rows (and every row, for a zero-norm query) have
@@ -160,16 +156,15 @@ class MemoryBank:
         if k < 1:
             raise ConfigError("k must be >= 1")
         Q = as_matrix(queries, "queries")
-        if Q.shape[1] != self.feat_dim:
+        if Q.shape[1] != self.features.shape[1]:
             raise ShapeError("query width does not match bank features")
         if self.filled <= k:
             raise InsufficientDataError(f"bank holds {self.filled} rows, need more than k={k}")
-        slots = self.occupied()
-        cand_ids, cand_unit = self.sample_ids.take(slots), self.unit.take(slots, axis=0)
-        zero_cands = self.zero_norm.take(slots)
+        cand_ids = self.occupied()
+        cand_unit, zero_cands = self.unit.take(cand_ids, axis=0), self.zero_norm.take(cand_ids)
         nq, n = Q.shape[0], cand_ids.size
 
-        # candidates are in id order and hold each id once, so query r's
+        # candidates are in id order, each id once, so query r's
         # excluded id, if stored, sits at position pos[r]
         if exclude_ids is not None:
             excl = _sample_ids(exclude_ids)
@@ -198,10 +193,9 @@ class MemoryBank:
             for j in range(k):
                 best = sims.argmax(axis=1, out=order[lo:hi, j])
                 sims.put(best + row_starts, -np.inf)
-        return slots.take(order)
+        return cand_ids.take(order)
 
     def snapshot(self):
-        """(ids, features, predictions) copies of the occupied rows, id order."""
-        slots = self.occupied()
-        return (self.sample_ids.take(slots), self.features.take(slots, axis=0),
-                self.predictions.take(slots, axis=0))
+        """(ids, features, predictions) copies of the rows held, id order."""
+        ids = self.occupied()
+        return ids, self.features.take(ids, axis=0), self.predictions.take(ids, axis=0)

@@ -64,16 +64,13 @@ def make_twin_moons(cfg: MoonsConfig) -> Dataset:
     try:
         for name in ("n_per_class", "seed"):
             as_index(getattr(cfg, name), name)
-        for name in ("noise_sigma", "rotation_deg"):
-            as_real(getattr(cfg, name), name)
+        as_real(cfg.noise_sigma, "noise_sigma")
     except ConfigError as exc:
         raise ShapeError(str(exc)) from None
     if cfg.n_per_class < 1:
         raise ShapeError("n_per_class must be >= 1")
     if not (math.isfinite(cfg.noise_sigma) and cfg.noise_sigma >= 0):
         raise ShapeError(f"noise_sigma must be finite and >= 0, got {cfg.noise_sigma!r}")
-    if not math.isfinite(cfg.rotation_deg):
-        raise ShapeError(f"rotation_deg must be finite, got {cfg.rotation_deg!r}")
     if cfg.seed < 0:
         raise ShapeError(f"seed must be >= 0, got {cfg.seed}")
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
@@ -99,7 +96,14 @@ def make_twin_moons(cfg: MoonsConfig) -> Dataset:
 
 def rotate_dataset(ds: Dataset, degrees: float) -> Dataset:
     """Rotate every point about the data centroid; a pure pose change
-    that keeps the labels."""
+    that keeps the labels. ShapeError unless ``degrees`` is a finite real
+    number, as for ``MoonsConfig.rotation_deg``."""
+    try:
+        as_real(degrees, "rotation degrees")
+    except ConfigError as exc:
+        raise ShapeError(str(exc)) from None
+    if not math.isfinite(degrees):
+        raise ShapeError(f"rotation degrees must be finite, got {degrees!r}")
     if ds.dim != 2:
         raise ShapeError("rotation is defined for 2-D data only")
     theta = np.deg2rad(degrees)

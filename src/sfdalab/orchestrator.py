@@ -239,6 +239,7 @@ def adapt(model: MlpModel, target: Dataset, cfg: AdaptConfig) -> tuple[MlpModel,
     failing one, and the failing step leaves it as it was.
     """
     cfg.validate()
+    as_matrix(target.X, "target.X")
     n = len(target)
     if n < cfg.batch_size:
         raise ConfigError(f"target has {n} samples, need >= batch_size {cfg.batch_size}")

@@ -40,7 +40,8 @@ class TestInit:
 
     def test_ring_empty(self):
         b = MemoryBank("ring", 64, 4, 2)
-        assert b.filled == 0 and b.cursor == 0
+        assert b.filled == 0 and b.writes == 0 and np.all(b.sample_ids == -1)
+        assert b.features.shape == (64, 4)
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(ConfigError):
@@ -76,16 +77,19 @@ class TestUpdate:
         b = MemoryBank("ring", 4, 1, 2)
         b.update([0, 1, 2, 3], [[0.0], [1.0], [2.0], [3.0]], uniform_preds(4))
         b.update([4, 5], [[4.0], [5.0]], uniform_preds(2))
-        assert sorted(b.sample_ids.tolist()) == [2, 3, 4, 5]
-        # slots 0,1 were the oldest and got overwritten in place
-        assert b.sample_ids.tolist() == [4, 5, 2, 3]
+        # ids 0 and 1 were the oldest writes and left the window; every
+        # id held sits in its own row, which the bank grew to reach
+        assert b.sample_ids.tolist() == [-1, -1, 2, 3, 4, 5]
+        np.testing.assert_array_equal(b.features[2:, 0], [2.0, 3.0, 4.0, 5.0])
+        assert b.filled == 4
 
     def test_ring_empty_write_is_a_noop(self):
         b = MemoryBank("ring", 4, 1, 2)
         b.update([0, 1], [[0.0], [1.0]], uniform_preds(2))
         b.update([], np.zeros((0, 1)), np.zeros((0, 2)))
         assert b.sample_ids.tolist() == [0, 1, -1, -1]
-        assert b.cursor == 2 and b.filled == 2
+        assert b.writes == 2 and b.filled == 2
+        np.testing.assert_array_equal(b.last_write[:2], [0, 1])
 
     def test_off_simplex_rejected(self):
         b = MemoryBank("full", 4, 1, 2)
@@ -94,8 +98,9 @@ class TestUpdate:
 
     def test_full_mode_id_beyond_capacity(self):
         b = MemoryBank("full", 4, 1, 2)
-        with pytest.raises(IndexError):
+        with pytest.raises(InvalidInputError, match="sample id 4 .* capacity 4"):
             b.update([4], [[1.0]], [[0.5, 0.5]])
+        assert b.filled == 0 and b.writes == 0
 
     def test_row_misalignment_rejected(self):
         b = MemoryBank("full", 4, 1, 2)
@@ -131,7 +136,7 @@ class TestUpdate:
     @settings(max_examples=60, deadline=None)
     def test_ring_retains_most_recent(self, inserted, capacity):
         # the ring holds the distinct ids among its last `capacity` writes,
-        # each in the slot of its latest write, with that write's row
+        # each in its own row, with the row of its latest write
         b = MemoryBank("ring", capacity, 1, 2)
         for chunk_start in range(0, len(inserted), 5):
             chunk = inserted[chunk_start:chunk_start + 5]
@@ -144,9 +149,9 @@ class TestUpdate:
         assert sorted(held.tolist()) == sorted(expected)
         assert b.filled == len(expected)
         for sid, j in expected.items():
-            slot = j % capacity
-            assert b.sample_ids[slot] == sid
-            assert b.features[slot, 0] == sid + 100 * j
+            assert b.sample_ids[sid] == sid
+            assert b.features[sid, 0] == sid + 100 * j
+            assert b.last_write[sid] == j
 
 
 @st.composite
@@ -191,10 +196,85 @@ class TestBatchedWrites:
             one_by_one.update(*write)
         at_once.update(*(np.concatenate(part) for part in zip(*writes)))
 
-        for name in ("features", "unit", "zero_norm", "predictions", "sample_ids"):
+        for name in ("features", "unit", "zero_norm", "predictions", "sample_ids", "last_write"):
             got, want = getattr(at_once, name), getattr(one_by_one, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-        assert (at_once.cursor, at_once.filled) == (one_by_one.cursor, one_by_one.filled)
+        assert (at_once.writes, at_once.filled) == (one_by_one.writes, one_by_one.filled)
+
+
+@st.composite
+def ring_writes(draw):
+    """A ring capacity, the id pool every write draws from, and id
+    batches that repeat ids, within a batch too, and may pass the
+    capacity in total. Coarse features force ties and zero-norm rows."""
+    capacity = draw(st.integers(1, 12))
+    pool = draw(st.integers(1, 30))
+    coord = st.integers(-2, 2).map(float)
+    batches = []
+    for _ in range(draw(st.integers(1, 6))):
+        ids = draw(st.lists(st.integers(0, pool - 1), max_size=12))
+        batches.append((ids, [[draw(coord), draw(coord)] for _ in ids]))
+    return capacity, pool, batches
+
+
+class TestIdLayout:
+    @given(ring_writes(), st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_ring_equals_a_full_bank_restricted_to_its_window(self, case, k):
+        # a full bank fed the same writes, then only the rows of the ids
+        # written in the last `capacity` writes, is what the ring holds
+        capacity, pool, batches = case
+        ring, full = MemoryBank("ring", capacity, 2, 2), MemoryBank("full", pool, 2, 2)
+        for ids, feats in batches:
+            for b in (ring, full):
+                b.update(ids, np.reshape(feats, (-1, 2)), uniform_preds(len(ids)))
+        every_write = [i for ids, _ in batches for i in ids]
+        window = np.unique(every_write[max(len(every_write) - capacity, 0):]).astype(np.int64)
+        window_bank = MemoryBank("full", pool, 2, 2)
+        window_bank.update(window, full.features[window], full.predictions[window])
+
+        for got, want in zip(ring.snapshot(), window_bank.snapshot()):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert ring.filled == window.size
+        held = ring.occupied()
+        assert ring.unit[held].tobytes() == window_bank.unit[held].tobytes()
+        if window.size > k:
+            queries = window_bank.features[window]
+            for excl in (window, None):
+                for got, want in zip(ring.knn_batch(queries, k, excl),
+                                     window_bank.knn_batch(queries, k, excl)):
+                    assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_last_copy_of_a_repeated_id_wins(self, mode):
+        b = MemoryBank(mode, 4, 1, 2)
+        preds = [[0.9, 0.1], [0.8, 0.2], [0.7, 0.3], [0.6, 0.4], [0.5, 0.5]]
+        b.update([3, 1, 3, 3, 1], [[1.0], [2.0], [3.0], [-4.0], [5.0]], preds)
+        assert b.sample_ids.tolist() == [-1, 1, -1, 3]
+        np.testing.assert_array_equal(b.features[[1, 3], 0], [5.0, -4.0])
+        np.testing.assert_array_equal(b.unit[[1, 3], 0], [1.0, -1.0])
+        np.testing.assert_array_equal(b.predictions[[1, 3]], [[0.5, 0.5], [0.6, 0.4]])
+        np.testing.assert_array_equal(b.last_write[[1, 3]], [4, 3])
+        assert b.writes == 5 and b.filled == 2
+        # many copies of one id, past the capacity
+        b.update([2] * 9, np.arange(9.0)[:, None] + 1.0, uniform_preds(9))
+        assert b.features[2, 0] == 9.0 and b.last_write[2] == 13
+        held = [1, 2, 3] if mode == "full" else [2]
+        assert b.occupied().tolist() == held
+
+    def test_ring_with_ids_past_its_capacity(self):
+        b = MemoryBank("ring", 2, 2, 2)
+        b.update([5, 9, 7], [[1.0, 0.0], [0.0, 1.0], [1.0, 0.1]], uniform_preds(3))
+        assert b.sample_ids.size == 10 and b.features.shape == (10, 2)
+        assert b.occupied().tolist() == [7, 9] and b.filled == 2
+        np.testing.assert_array_equal(b.features[[7, 9]], [[1.0, 0.1], [0.0, 1.0]])
+        # a smaller id fits the grown rows; id 9 leaves the window
+        b.update([0], [[1.0, 0.2]], uniform_preds(1))
+        assert b.sample_ids.size == 10 and b.occupied().tolist() == [0, 7]
+        ids, feats, _ = b.knn_batch([[1.0, 0.0]], 1)
+        assert ids.tolist() == [[7]] and feats.tolist() == [[[1.0, 0.1]]]
+        ids, _, _ = b.snapshot()
+        assert ids.tolist() == [0, 7]
 
 
 class TestKnn:
@@ -393,8 +473,10 @@ class TestExclusion:
         # every write sits right next to the query
         b.update([7, 1, 7], [[1.0, 0.0], [0.0, 1.0], [1.0, 0.01]], uniform_preds(3))
         b.update([2, 7], [[-1.0, 0.0], [1.0, -0.01]], uniform_preds(2))
-        assert b.sample_ids.tolist() == [-1, 1, -1, 2, 7]
+        assert b.sample_ids.tolist() == [-1, 1, 2, -1, -1, -1, -1, 7]
         assert b.filled == 3
+        np.testing.assert_array_equal(b.features[7], [1.0, -0.01])
+        assert b.last_write[7] == 4
         ids = b.knn_batch([[1.0, 0.0]], k=2, exclude_ids=[7])[0][0]
         assert ids.tolist() == [1, 2]
         ids = b.knn_batch([[1.0, 0.0]], k=2, exclude_ids=[1])[0][0]
@@ -505,7 +587,7 @@ def slots_per_block_size(bank, queries, k, exclude_ids):
 def all_pairs_banks(draw):
     """A full or ring bank whose every stored row is also a query, as in
     the per-epoch agreement ratios; sometimes the full bank holds every
-    slot (its no-gather path). Coarse features force ties, zero-norm rows
+    row. Coarse features force ties, zero-norm rows
     and zero-norm queries; being small integers, their dot products are
     exact in any summation order, so every block size must agree to the
     bit."""
@@ -550,7 +632,7 @@ class TestQueryBlocks:
         feats[[6, 7, 13, 14, 19]] = 0.0
         capacity = 20 if mode == "full" else 24
         bank = MemoryBank(mode, capacity, 2, 2)
-        if mode == "ring":  # rewrite some ids so slots are not in id order
+        if mode == "ring":  # write some ids twice; the second write wins
             bank.update([3, 19, 5], np.ones((3, 2)), uniform_preds(3))
         bank.update(np.arange(20)[::-1], feats[::-1], uniform_preds(20))
         ids, stored, _ = bank.snapshot()
@@ -600,7 +682,7 @@ class TestStoredQueries:
     @settings(max_examples=100, deadline=None)
     def test_every_stored_row_as_a_query(self, case):
         # the all-pairs retrieval of the agreement ratios; a full bank may
-        # hold every slot, where an id's position is the id itself
+        # hold every row
         bank, k = case
         ids, feats, _ = bank.snapshot()
         as_is = bank.knn_slots(feats, k, exclude_ids=ids)

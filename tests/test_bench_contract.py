@@ -84,3 +84,22 @@ def test_params_and_config_fields_the_bench_reads():
     # SND check the run's temperature
     assert tuple(init_model(2, 3, 4, 2, seed=0).params()) == PARAM_NAMES
     assert AdaptConfig().snd_tau > 0
+
+
+@pytest.mark.parametrize("mode", ["full", "ring"])
+def test_rows_the_tracer_copies_are_the_snapshot(mode):
+    # the tracer's oracle copies `sample_ids` and `features` whole and
+    # keeps the rows with an id >= 0, in id order; its entry count reads
+    # `filled`. The ring wraps: more writes than its capacity, ids repeated.
+    rng = np.random.default_rng(2)
+    n = 30
+    bank = MemoryBank(mode, n if mode == "full" else 8, 3, 2)
+    bank.update(np.arange(n), rng.normal(size=(n, 3)), rng.dirichlet(np.ones(2), size=n))
+    again = rng.integers(0, n, size=13)
+    bank.update(again, rng.normal(size=(13, 3)), rng.dirichlet(np.ones(2), size=13))
+    slot_ids, slot_feats = bank.sample_ids.copy(), bank.features.copy()
+    rows = np.flatnonzero(slot_ids >= 0)
+    rows = rows[np.argsort(slot_ids[rows], kind="stable")]
+    ids, feats, _ = bank.snapshot()
+    assert np.array_equal(slot_ids[rows], ids) and np.array_equal(slot_feats[rows], feats)
+    assert bank.filled == rows.size == (n if mode == "full" else np.unique(again[-8:]).size)

@@ -127,6 +127,14 @@ class TestRotateDataset:
         rot = rotate_dataset(ds, 30.0)
         assert np.array_equal(rot.labels, ds.labels)
 
+    @pytest.mark.parametrize("degrees", [np.nan, np.inf, -np.inf, "30", None])
+    def test_rejects_bad_angles_as_moons_config_does(self, degrees):
+        ds = make_twin_moons(MoonsConfig(n_per_class=10, seed=8))
+        with pytest.raises(ShapeError, match="rotation degrees"):
+            rotate_dataset(ds, degrees)
+        with pytest.raises(ShapeError, match="rotation degrees"):
+            make_twin_moons(MoonsConfig(n_per_class=10, seed=8, rotation_deg=degrees))
+
     def test_requires_two_dims(self):
         ds = Dataset(X=np.zeros((4, 3)), labels=np.zeros(4, dtype=np.int64),
                      num_classes=1)

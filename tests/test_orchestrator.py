@@ -274,6 +274,16 @@ class TestAdapt:
         assert len(hist.loss) > 0 and np.isfinite(hist.loss).all()
 
     @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_non_finite_target_is_bad_input_at_entry(self, objective):
+        # bad data is not divergence, with or without a bank to seed
+        model, tgt = pretrained()
+        tgt.X[5, 1] = np.inf
+        before = model.theta.copy()
+        with pytest.raises(InvalidInputError, match="^target.X contains non-finite"):
+            adapt(model, tgt, small_cfg(objective=objective, epochs=1))
+        assert np.array_equal(model.theta, before)
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
     def test_step_error_names_objective_epoch_and_iteration(self, objective):
         model, tgt = pretrained()
         with pytest.raises(DivergenceError, match=rf"{objective}, epoch 0, iteration \d+: "):
