@@ -1,15 +1,15 @@
 """Memory bank of target features and their predictions.
 
 One layout for both modes: row i holds sample i, and a row that holds no
-sample reads sample id -1. A ``full`` bank holds every id written to it.
-A ``ring`` is a window over its last ``capacity`` writes: it holds the
-ids whose latest write is among them, told by each id's write number.
-Its arrays grow to the largest id written, so its memory is O(largest
-id), not O(capacity); ``adapt`` seeds it with the whole target, whose
-forward pass is O(n) anyway. Retrieval is K-nearest-neighbor by cosine
-similarity with ties broken toward the lower sample id, so results are
-deterministic; a zero-norm row, or every row for a zero-norm query, has a
-similarity below every cosine.
+sample reads sample id -1. A ``full`` bank has ``capacity`` rows and holds
+every id written to it. A ``ring`` is a window over its last ``capacity``
+writes: it holds the ids whose latest write is among them, told by each
+id's write number. Its arrays start empty and grow to the largest id
+written: O(largest id) memory, not O(capacity). ``adapt`` seeds it with
+the whole target, whose forward pass is O(n) anyway. Retrieval is
+K-nearest-neighbor by cosine similarity with ties broken toward the
+lower sample id, so results are deterministic; a zero-norm row, or every
+row for a zero-norm query, has a similarity below every cosine.
 
 Next to each feature row the bank keeps its unit-norm copy, written once
 by ``update``, so a retrieval normalises only its queries, and a cosine
@@ -59,14 +59,16 @@ class MemoryBank:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
         self.mode = mode
         self.capacity = int(capacity)
-        self.features = np.zeros((capacity, feat_dim))
+        rows = self.capacity if mode == "full" else 0
+        feat_dim, n_classes = int(feat_dim), int(n_classes)   # array shapes take no bool
+        self.features = np.zeros((rows, feat_dim))
         # unit-norm copy of each feature row, and which rows are zero
-        self.unit = np.zeros((capacity, feat_dim))
-        self.zero_norm = np.ones(capacity, dtype=bool)
-        self.predictions = np.zeros((capacity, n_classes))
-        self.sample_ids = np.full(capacity, -1, dtype=np.int64)
+        self.unit = np.zeros((rows, feat_dim))
+        self.zero_norm = np.ones(rows, dtype=bool)
+        self.predictions = np.zeros((rows, n_classes))
+        self.sample_ids = np.full(rows, -1, dtype=np.int64)
         # the number of each id's latest write, and of all writes so far
-        self.last_write = np.zeros(capacity, dtype=np.int64)
+        self.last_write = np.zeros(rows, dtype=np.int64)
         self.writes = 0
         self.filled = 0
 

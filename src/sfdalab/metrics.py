@@ -227,8 +227,8 @@ def decision_grid(model: MlpModel, x_range=(-1.5, 2.5), y_range=(-1.5, 2.0),
 
     Returns (xs, ys, labels) with labels[i, j] the prediction at
     (xs[j], ys[i]); rows scan y, columns scan x. ConfigError unless
-    resolution is an integer >= 2 and each range's two bounds are finite
-    real numbers.
+    resolution is an integer >= 2 whose grid can be allocated and each
+    range's two bounds are finite real numbers.
     """
     if model.d_in != 2:
         raise ShapeError("decision grids are defined for 2-D inputs only")
@@ -237,11 +237,14 @@ def decision_grid(model: MlpModel, x_range=(-1.5, 2.5), y_range=(-1.5, 2.0),
     for name, bounds in (("x_range", x_range), ("y_range", y_range)):
         if np.shape(bounds) != (2,) or not all(math.isfinite(as_real(b, name)) for b in bounds):
             raise ConfigError(f"{name} must hold two finite numbers, got {bounds!r}")
-    xs = np.linspace(x_range[0], x_range[1], resolution)
-    ys = np.linspace(y_range[0], y_range[1], resolution)
-    gx, gy = np.meshgrid(xs, ys)
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    labels = predict_labels(model, pts).reshape(resolution, resolution)
+    try:
+        grid = np.empty((resolution, resolution, 2))   # grid[i, j] = (xs[j], ys[i])
+        xs = np.linspace(x_range[0], x_range[1], resolution)
+        ys = np.linspace(y_range[0], y_range[1], resolution)
+        grid[..., 0], grid[..., 1] = xs, ys[:, None]
+        labels = predict_labels(model, grid.reshape(-1, 2)).reshape(resolution, resolution)
+    except MemoryError:
+        raise ConfigError(f"resolution {resolution} gives a grid too large to allocate") from None
     return xs, ys, labels
 
 
@@ -258,17 +261,23 @@ def evaluate_model(model: MlpModel, X, labels, num_classes: int) -> EvalReport:
     return classification_report(pred, labels, num_classes)
 
 
-def score_predictions(P, labels, num_classes: int, bank: MemoryBank,
-                      tau: float = SND_TAU) -> dict:
-    """Score the predictions ``P`` of a whole dataset, and the bank of its
-    features, with the fixed key set accuracy, per_class, snd, ratios.
-    Keys that cannot be computed are null: accuracy and per_class need
-    labels (-1 marks an unlabeled sample, which they skip), snd needs 2
-    rows and ratios a bank of more than RATIO_K rows. ShapeError unless
-    ``labels`` holds one entry per row of ``P``."""
+@single_blas_thread()
+def build_report(model: MlpModel, X, labels, num_classes: int, tau: float = SND_TAU,
+                 bank: MemoryBank | None = None) -> dict:
+    """Score the model on a whole dataset X, with the fixed key set
+    accuracy, per_class, snd, ratios; a key that cannot be computed is
+    null. accuracy and per_class need labels (-1 marks an unlabeled sample,
+    which they skip), snd 2 rows, and ratios more than RATIO_K rows in
+    ``bank`` (its ids are rows of X), by default a full bank of X's forward.
+    ShapeError unless ``labels`` holds one entry per row of X."""
+    cache = forward(model, as_matrix(X, "X"))
+    P = cache.P
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != P.shape[:1]:
         raise ShapeError(f"labels must have shape ({P.shape[0]},), got {labels.shape}")
+    if bank is None:
+        bank = MemoryBank("full", max(len(P), 1), cache.features.shape[1], P.shape[1])
+        bank.update(np.arange(len(P)), cache.features, P)
     report = {"accuracy": None, "per_class": None, "snd": None, "ratios": None}
     has_labels = bool((labels >= 0).any())
     if has_labels:
@@ -280,23 +289,6 @@ def score_predictions(P, labels, num_classes: int, bank: MemoryBank,
         same, correct = agreement_ratios(bank, labels if has_labels else None)
         report["ratios"] = {"same": same, "correct": correct}
     return report
-
-
-def full_bank(features, P) -> MemoryBank:
-    """A full bank of a whole dataset's forward: row i is sample i."""
-    bank = MemoryBank("full", max(len(P), 1), features.shape[1], P.shape[1])
-    bank.update(np.arange(len(P)), features, P)
-    return bank
-
-
-@single_blas_thread()
-def build_report(model: MlpModel, X, labels, num_classes: int,
-                 tau: float = SND_TAU) -> dict:
-    """``score_predictions`` of the model on X, with the ratios over a
-    ``full_bank`` of X's forward, as ``adapt`` scores an epoch of an
-    objective without neighbors."""
-    cache = forward(model, as_matrix(X, "X"))
-    return score_predictions(cache.P, labels, num_classes, full_bank(cache.features, cache.P), tau)
 
 
 def write_report_json(path, report: dict) -> None:

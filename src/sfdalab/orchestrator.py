@@ -1,14 +1,13 @@
 """Training loops: source pretraining, neighbor-based target adaptation,
 and the decay-exponent sweep with SND-based selection.
 
-The adaptation loop follows a fixed per-iteration order: forward the
-batch, retrieve each sample's nearest neighbors (never itself) when the
-objective uses them, evaluate the configured objective, and take one SGD
-step. Only an objective that retrieves keeps a memory bank, seeded with
-a full forward pass, and each step writes its batch right before its
-retrieval. Each epoch ends with ``metrics.score_predictions`` of the
-model and that bank, or else of a full bank of the epoch's own forward,
-as ``metrics.build_report`` (``sfdalab eval``) scores a model.
+Pretraining and adaptation share one minibatch loop: forward the batch,
+evaluate the loss, take one SGD step. Adaptation's loss retrieves each
+sample's nearest neighbors (never itself) when the objective uses them.
+Only an objective that retrieves keeps a memory bank, seeded with a full
+forward pass, and each step writes its batch right before its retrieval.
+Each epoch ends with ``metrics.build_report`` (``sfdalab eval``) of the
+model, its ratios over that bank or else a full bank of its own forward.
 
 Target labels feed these scores only; the gradient path never touches
 them. Every run resets the momentum buffers first and draws all shuffles
@@ -32,7 +31,7 @@ import numpy as np
 from .bank import MODES, MemoryBank
 from .datasets import Dataset
 from .errors import ConfigError, DivergenceError, InvalidInputError
-from .metrics import SND_TAU, EvalReport, evaluate_model, full_bank, score_predictions
+from .metrics import SND_TAU, EvalReport, build_report, evaluate_model
 from .model import MlpModel, backward, forward, sgd_step
 from .numerics import as_index, as_matrix, as_real, single_blas_thread
 from .objectives import (
@@ -176,12 +175,24 @@ def _check_sgd(epochs, batch_size, lr, momentum, seed) -> None:
         raise ConfigError(f"momentum must be in [0, 1), got {momentum!r}")
 
 
-def _minibatches(rng, n: int, bs: int):
-    """One epoch: the index arrays of the n // bs full batches of a fresh
-    permutation of range(n); the remainder is dropped."""
-    perm = rng.permutation(n)
-    for b in range(n // bs):
-        yield perm[b * bs:(b + 1) * bs]
+def _sgd_epochs(model, X, epochs, batch_size, lr, momentum, seed, where, batch_loss):
+    """Reset the momentum, then yield each epoch after stepping on the full
+    batches of one seeded permutation of the rows of X: forward, then
+    ``batch_loss(idx, cache)``, backward, SGD step. A step's error is
+    re-raised as ``_step_error`` at ``"{where}, epoch e, iteration b"``."""
+    model.reset_velocity()
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for epoch in range(epochs):
+        perm = rng.permutation(len(X))
+        for b in range(len(X) // batch_size):
+            idx = perm[b * batch_size:(b + 1) * batch_size]
+            try:
+                cache = forward(model, X[idx])
+                grad = backward(model, cache, batch_loss(idx, cache).grad)
+                sgd_step(model, grad, lr, momentum)
+            except ValueError as exc:
+                raise _step_error(exc, f"{where}, epoch {epoch}, iteration {b}") from exc
+        yield epoch
 
 
 @single_blas_thread()
@@ -199,18 +210,9 @@ def pretrain_source(model: MlpModel, source: Dataset, epochs: int, lr: float,
     if (source.labels >= model.n_classes).any():
         raise InvalidInputError(f"source labels must be < the model's {model.n_classes} classes")
     as_matrix(source.X, "source.X")
-    bs = min(batch_size, len(source))
-    model.reset_velocity()
-    rng = np.random.Generator(np.random.PCG64(seed))
-    for epoch in range(epochs):
-        for b, idx in enumerate(_minibatches(rng, len(source), bs)):
-            try:
-                cache = forward(model, source.X[idx])
-                res = cross_entropy_loss(cache.P, source.labels[idx])
-                grad = backward(model, cache, res.grad)
-                sgd_step(model, grad, lr, momentum)
-            except ValueError as exc:
-                raise _step_error(exc, f"pretrain, epoch {epoch}, iteration {b}") from exc
+    for _ in _sgd_epochs(model, source.X, epochs, min(batch_size, len(source)), lr, momentum,
+                         seed, "pretrain", lambda idx, c: cross_entropy_loss(c.P, source.labels[idx])):
+        pass
     return model, evaluate_model(model, source.X, source.labels, source.num_classes)
 
 
@@ -254,29 +256,23 @@ def adapt(model: MlpModel, target: Dataset, cfg: AdaptConfig) -> tuple[MlpModel,
 
     max_iter = max(cfg.epochs * (n // cfg.batch_size), 1)
     no_neighbors = np.empty((cfg.batch_size, 0, model.n_classes))
-    model.reset_velocity()
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
     history = RunHistory()
-    it = 0
-    for epoch in range(cfg.epochs):
-        for b, idx in enumerate(_minibatches(rng, n, cfg.batch_size)):
-            try:
-                cache = forward(model, target.X[idx])
-                lam = objective.lam
-                if lam is None:
-                    lam = lambda_schedule(it, max_iter, cfg.beta)
-                nbr_preds = no_neighbors
-                if bank is not None:
-                    bank.update(idx, cache.features, cache.P)
-                    _, _, nbr_preds = bank.knn_batch(cache.features, cfg.k, exclude_ids=idx)
-                res = objective.loss(cache.P, nbr_preds, lam)
-                grad = backward(model, cache, res.grad)
-                sgd_step(model, grad, cfg.lr, cfg.momentum)
-            except ValueError as exc:
-                raise _step_error(exc, f"{cfg.objective}, epoch {epoch}, iteration {b}") from exc
-            history.loss.append(res.value)
-            history.lam.append(lam)
-            it += 1
+
+    def batch_loss(idx, cache):
+        lam = objective.lam
+        if lam is None:
+            lam = lambda_schedule(len(history.lam), max_iter, cfg.beta)
+        nbr_preds = no_neighbors
+        if bank is not None:
+            bank.update(idx, cache.features, cache.P)
+            _, _, nbr_preds = bank.knn_batch(cache.features, cfg.k, exclude_ids=idx)
+        res = objective.loss(cache.P, nbr_preds, lam)
+        history.loss.append(res.value)
+        history.lam.append(lam)
+        return res
+
+    for epoch in _sgd_epochs(model, target.X, cfg.epochs, cfg.batch_size, cfg.lr, cfg.momentum,
+                             cfg.seed, cfg.objective, batch_loss):
         try:
             _record_epoch(history, model, target, bank, cfg)
         except ValueError as exc:
@@ -285,11 +281,8 @@ def adapt(model: MlpModel, target: Dataset, cfg: AdaptConfig) -> tuple[MlpModel,
 
 
 def _record_epoch(history, model, target, bank, cfg) -> None:
-    """Append one epoch's scores; without a bank, over a full bank of this forward."""
-    cache = forward(model, target.X)
-    if bank is None:
-        bank = full_bank(cache.features, cache.P)
-    report = score_predictions(cache.P, target.labels, target.num_classes, bank, cfg.snd_tau)
+    """Append one epoch's ``build_report``, its ratios over ``bank`` if any."""
+    report = build_report(model, target.X, target.labels, target.num_classes, cfg.snd_tau, bank)
     ratios = report["ratios"] or {"same": None, "correct": None}
     history.acc.append(report["accuracy"])
     history.snd.append(report["snd"])

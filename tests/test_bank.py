@@ -41,7 +41,21 @@ class TestInit:
     def test_ring_empty(self):
         b = MemoryBank("ring", 64, 4, 2)
         assert b.filled == 0 and b.writes == 0 and np.all(b.sample_ids == -1)
-        assert b.features.shape == (64, 4)
+        assert b.features.shape == (0, 4)
+
+    def test_ring_allocates_only_the_rows_it_holds(self):
+        # its arrays grow to the largest id written, whatever its capacity
+        b = MemoryBank("ring", 10**13, 4, 2)
+        assert b.features.shape == (0, 4) and b.sample_ids.shape == (0,)
+        b.update([5, 2], np.ones((2, 4)), uniform_preds(2))
+        assert b.features.shape == (6, 4) and b.occupied().tolist() == [2, 5]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_sizes_are_taken_as_ints(self, mode):
+        b = MemoryBank(mode, True, np.int64(2), np.uint8(2))
+        assert b.capacity == 1 and type(b.capacity) is int
+        b.update([0], [[1.0, 0.0]], [[0.5, 0.5]])
+        assert b.features.shape == (1, 2) and b.predictions.shape == (1, 2)
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(ConfigError):
@@ -87,7 +101,7 @@ class TestUpdate:
         b = MemoryBank("ring", 4, 1, 2)
         b.update([0, 1], [[0.0], [1.0]], uniform_preds(2))
         b.update([], np.zeros((0, 1)), np.zeros((0, 2)))
-        assert b.sample_ids.tolist() == [0, 1, -1, -1]
+        assert b.sample_ids.tolist() == [0, 1]
         assert b.writes == 2 and b.filled == 2
         np.testing.assert_array_equal(b.last_write[:2], [0, 1])
 

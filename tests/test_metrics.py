@@ -21,7 +21,6 @@ from sfdalab.metrics import (
     evaluate_model,
     open_set_scores,
     save_grid_csv,
-    score_predictions,
     snd_score,
     write_report_json,
 )
@@ -280,8 +279,10 @@ class TestAgreementRatios:
         preds = np.repeat([[0.9, 0.1], [0.1, 0.9]], 4, axis=0)
         labels = np.array([-1, 0, 0, 0, -1, 1, 1, 1])
         assert agreement_ratios(bank_from(feats, preds), labels) == (1.0, 1.0)
-        rep = score_predictions(preds, labels, 2, bank_from(feats, preds))
-        assert rep["accuracy"] == 1.0 and rep["ratios"]["correct"] == 1.0
+        model = init_model(2, 4, 4, 2, seed=0)
+        rep = build_report(model, feats, labels, 2, bank=bank_from(feats, preds))
+        assert rep["ratios"] == {"same": 1.0, "correct": 1.0}
+        assert rep["accuracy"] == evaluate_model(model, feats, labels, 2).accuracy
         # no labeled sample qualifies
         assert agreement_ratios(bank_from(feats, preds), np.full(8, -1)) == (1.0, 0.0)
 
@@ -402,6 +403,13 @@ class TestDecisionGrid:
         with pytest.raises(ConfigError, match="resolution"):
             decision_grid(model2, resolution=2.5)
 
+    def test_rejects_a_grid_it_cannot_allocate(self):
+        # 10**14 nodes of two floats, 1.6e15 bytes, are more than a machine
+        # has, so the allocation fails at once, without touching memory
+        model = init_model(2, 4, 4, 2, seed=0)
+        with pytest.raises(ConfigError, match="resolution 10000000 "):
+            decision_grid(model, resolution=10**7)
+
     @pytest.mark.parametrize("kw", [
         {"x_range": (np.nan, 1.0)},
         {"x_range": (0, np.inf)},
@@ -455,6 +463,16 @@ class TestBuildReport:
         # unlabeled arrays never reach classification_report's shape check
         with pytest.raises(ShapeError, match=r"labels must have shape \(30,\)"):
             build_report(self.model, self.X, labels, 2)
+
+    def test_ratios_read_the_given_bank(self):
+        # a bank of other features and predictions than the model's forward
+        rng = np.random.default_rng(5)
+        bank = bank_from(rng.normal(size=(30, 3)), rng.dirichlet(np.ones(2), size=30))
+        rep = build_report(self.model, self.X, self.labels, 2, bank=bank)
+        assert (rep["ratios"]["same"], rep["ratios"]["correct"]) == agreement_ratios(
+            bank, self.labels)
+        assert rep["ratios"] != build_report(self.model, self.X, self.labels, 2)["ratios"]
+        assert rep["snd"] == build_report(self.model, self.X, self.labels, 2)["snd"]
 
     def test_matches_evaluate_model(self):
         rep = build_report(self.model, self.X, self.labels, 2)

@@ -9,7 +9,6 @@ from sfdalab import metrics, numerics, orchestrator
 from sfdalab.bank import MemoryBank
 from sfdalab.datasets import Dataset, MoonsConfig, make_twin_moons, rotate_dataset
 from sfdalab.errors import ConfigError, DivergenceError, InvalidInputError, ShapeError
-from sfdalab.metrics import build_report
 from sfdalab.model import init_model
 from sfdalab.orchestrator import (
     OBJECTIVES,
@@ -331,19 +330,29 @@ class TestAdapt:
         assert full_hist.to_json() == ring_hist.to_json()
         assert np.array_equal(full.theta, ring.theta)
 
+    def test_a_ring_too_large_to_allocate_runs_as_a_full_bank(self):
+        # a ring allocates the rows it holds, and one that never wraps
+        # holds every id, as a full bank does
+        model, tgt = pretrained()
+        full, full_hist = adapt(model.clone(), tgt, small_cfg())
+        ring, ring_hist = adapt(model.clone(), tgt, small_cfg(bank_mode="ring",
+                                                              ring_capacity=10**13))
+        assert ring_hist.to_json() == full_hist.to_json()
+        assert np.array_equal(ring.theta, full.theta)
+
     def test_epochs_and_eval_reports_share_one_scorer(self, monkeypatch):
         calls = []
-        real = metrics.score_predictions
+        real = metrics.build_report
 
-        def counted(P, *a, **kw):
-            calls.append(P.shape[0])
-            return real(P, *a, **kw)
+        def counted(model, X, *a, **kw):
+            calls.append(X.shape[0])
+            return real(model, X, *a, **kw)
 
         for module in (metrics, orchestrator):
-            monkeypatch.setattr(module, "score_predictions", counted)
+            monkeypatch.setattr(module, "build_report", counted)
         model, tgt = pretrained()
         _, hist = adapt(model, tgt, small_cfg(epochs=2))
-        report = build_report(model, tgt.X, tgt.labels, 2)
+        report = metrics.build_report(model, tgt.X, tgt.labels, 2)
         assert calls == [len(tgt)] * 3
         assert (report["accuracy"], report["snd"]) == (hist.acc[-1], hist.snd[-1])
 
