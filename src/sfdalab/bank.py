@@ -1,15 +1,16 @@
 """Memory bank of target features and their predictions.
 
 One layout for both modes: row i holds sample i, and a row that holds no
-sample reads sample id -1. A ``full`` bank has ``capacity`` rows and holds
-every id written to it. A ``ring`` is a window over its last ``capacity``
-writes: it holds the ids whose latest write is among them, told by each
-id's write number. Its arrays start empty and grow to the largest id
-written: O(largest id) memory, not O(capacity). ``adapt`` seeds it with
-the whole target, whose forward pass is O(n) anyway. Retrieval is
-K-nearest-neighbor by cosine similarity with ties broken toward the
-lower sample id, so results are deterministic; a zero-norm row, or every
-row for a zero-norm query, has a similarity below every cosine.
+sample reads sample id -1. A ``full`` bank holds every id written to it,
+each below its ``capacity``. A ``ring`` is a window over its last
+``capacity`` writes: it holds the ids whose latest write is among them,
+told by each id's write number. In both modes the arrays start empty and
+grow to the largest id written: O(largest id) memory, not O(capacity).
+``adapt`` seeds a bank with the whole target, whose forward pass is O(n)
+anyway. Retrieval is K-nearest-neighbor by cosine similarity with ties
+broken toward the lower sample id, so results are deterministic; a
+zero-norm row, or every row for a zero-norm query, has a similarity
+below every cosine.
 
 Next to each feature row the bank keeps its unit-norm copy, written once
 by ``update``, so a retrieval normalises only its queries, and a cosine
@@ -54,21 +55,19 @@ class MemoryBank:
         mode = str(mode).lower()
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-        for name, value in (("capacity", capacity), ("feat_dim", feat_dim), ("n_classes", n_classes)):
-            if as_index(value, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
         self.mode = mode
-        self.capacity = int(capacity)
-        rows = self.capacity if mode == "full" else 0
-        feat_dim, n_classes = int(feat_dim), int(n_classes)   # array shapes take no bool
-        self.features = np.zeros((rows, feat_dim))
+        self.capacity, feat_dim, n_classes = (
+            as_index(value, name, 1) for name, value in
+            (("capacity", capacity), ("feat_dim", feat_dim), ("n_classes", n_classes)))
+        # no rows yet: update grows every array to the largest id written
+        self.features = np.zeros((0, feat_dim))
         # unit-norm copy of each feature row, and which rows are zero
-        self.unit = np.zeros((rows, feat_dim))
-        self.zero_norm = np.ones(rows, dtype=bool)
-        self.predictions = np.zeros((rows, n_classes))
-        self.sample_ids = np.full(rows, -1, dtype=np.int64)
+        self.unit = np.zeros((0, feat_dim))
+        self.zero_norm = np.ones(0, dtype=bool)
+        self.predictions = np.zeros((0, n_classes))
+        self.sample_ids = np.full(0, -1, dtype=np.int64)
         # the number of each id's latest write, and of all writes so far
-        self.last_write = np.zeros(rows, dtype=np.int64)
+        self.last_write = np.zeros(0, dtype=np.int64)
         self.writes = 0
         self.filled = 0
 
@@ -98,10 +97,10 @@ class MemoryBank:
         if ids.min(initial=0) < 0:
             raise InvalidInputError("sample ids must be non-negative")
         top = int(ids.max(initial=-1))
+        if self.mode == "full" and top >= self.capacity:
+            raise InvalidInputError(
+                f"sample id {top} is past the full bank's capacity {self.capacity}")
         if top >= self.sample_ids.size:
-            if self.mode == "full":
-                raise InvalidInputError(
-                    f"sample id {top} is past the full bank's capacity {self.capacity}")
             self._grow(top + 1)
         unit, zero = unit_rows(feats)
 
@@ -154,9 +153,7 @@ class MemoryBank:
         overflow), and a cosine is the product of the unit query row and
         the unit row ``update`` stored.
         """
-        k = as_index(k, "k")
-        if k < 1:
-            raise ConfigError("k must be >= 1")
+        k = as_index(k, "k", 1)
         Q = as_matrix(queries, "queries")
         if Q.shape[1] != self.features.shape[1]:
             raise ShapeError("query width does not match bank features")

@@ -145,8 +145,8 @@ _ADAPT = ("k", "beta", "objective", "bank_mode", "ring_capacity", *_TRAINING)
 
 
 def _adapt_config(given: dict) -> AdaptConfig:
-    """The flag and config values of every AdaptConfig field but snd_tau;
-    the fields not given keep their defaults."""
+    """The flag and config values of the AdaptConfig fields; the fields
+    not given keep their defaults."""
     return AdaptConfig(**_pick(given, (*_ADAPT, "seed")))
 
 

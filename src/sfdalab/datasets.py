@@ -62,17 +62,13 @@ def make_twin_moons(cfg: MoonsConfig) -> Dataset:
     cloud, yielding a target-domain dataset.
     """
     try:
-        for name in ("n_per_class", "seed"):
-            as_index(getattr(cfg, name), name)
+        for name, least in (("n_per_class", 1), ("seed", 0)):
+            as_index(getattr(cfg, name), name, least)
         as_real(cfg.noise_sigma, "noise_sigma")
     except ConfigError as exc:
         raise ShapeError(str(exc)) from None
-    if cfg.n_per_class < 1:
-        raise ShapeError("n_per_class must be >= 1")
     if not (math.isfinite(cfg.noise_sigma) and cfg.noise_sigma >= 0):
         raise ShapeError(f"noise_sigma must be finite and >= 0, got {cfg.noise_sigma!r}")
-    if cfg.seed < 0:
-        raise ShapeError(f"seed must be >= 0, got {cfg.seed}")
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     n = cfg.n_per_class
     try:
@@ -119,10 +115,10 @@ def make_open_set_variant(ds: Dataset, n_unknown: int, seed: int = 0) -> Dataset
     labels -1) well clear of both moons."""
     if ds.dim != 2:
         raise ShapeError("open-set variant is defined for 2-D data only")
-    if n_unknown < 0:
-        raise ShapeError(f"n_unknown must be >= 0, got {n_unknown}")
-    if seed < 0:
-        raise ShapeError(f"seed must be >= 0, got {seed}")
+    try:
+        n_unknown, seed = as_index(n_unknown, "n_unknown", 0), as_index(seed, "seed", 0)
+    except ConfigError as exc:
+        raise ShapeError(str(exc)) from None
     rng = np.random.Generator(np.random.PCG64(seed))
     blob = rng.normal(0.0, 0.1, size=(n_unknown, 2)) + np.array([0.5, -1.5])
     X = np.vstack([ds.X, blob])

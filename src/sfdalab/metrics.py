@@ -19,7 +19,8 @@ import numpy as np
 from .bank import MemoryBank
 from .errors import ConfigError, InsufficientDataError, ShapeError
 from .model import MlpModel, forward, predict_labels
-from .numerics import as_index, as_matrix, as_real, row_blocks, scratch, single_blas_thread, unit_rows
+from .numerics import (as_index, as_matrix, as_positive, as_real, row_blocks, scratch,
+                       single_blas_thread, unit_rows)
 
 SND_TAU = 0.05
 RATIO_K = 3
@@ -121,9 +122,7 @@ def snd_score(P_target, tau: float = SND_TAU) -> float:
     P = as_matrix(P_target, "P_target")
     if P.shape[0] < 2:
         raise InsufficientDataError("SND needs at least 2 rows")
-    tau = as_real(tau, "tau")
-    if not (math.isfinite(tau) and tau > 0):
-        raise ConfigError(f"tau must be finite and positive, got {tau!r}")
+    tau = as_positive(tau, "tau")
     if P.shape[0] == 2:
         return 0.0
     U = unit_rows(P)[0]
@@ -207,12 +206,9 @@ def open_set_scores(os_star: float, unk: float, num_known: int) -> OdaScores:
     ConfigError unless both accuracies are finite and non-negative and
     num_known is an integer >= 1."""
     for name, value in (("os_star", os_star), ("unk", unk)):
-        if not math.isfinite(as_real(value, name)):
+        if not math.isfinite(as_real(value, name, 0)):
             raise ConfigError(f"{name} must be finite, got {value!r}")
-    if os_star < 0 or unk < 0:
-        raise ConfigError("accuracies must be non-negative")
-    if as_index(num_known, "num_known") < 1:
-        raise ConfigError("need at least one known class")
+    as_index(num_known, "num_known", 1)
     total = os_star + unk
     hos = 0.0 if total == 0 else 2.0 * os_star * unk / total
     os_val = (num_known * os_star) / (num_known + 1) + unk / (num_known + 1)
@@ -232,8 +228,7 @@ def decision_grid(model: MlpModel, x_range=(-1.5, 2.5), y_range=(-1.5, 2.0),
     """
     if model.d_in != 2:
         raise ShapeError("decision grids are defined for 2-D inputs only")
-    if as_index(resolution, "resolution") < 2:
-        raise ConfigError("resolution must be >= 2")
+    resolution = as_index(resolution, "resolution", 2)
     for name, bounds in (("x_range", x_range), ("y_range", y_range)):
         if np.shape(bounds) != (2,) or not all(math.isfinite(as_real(b, name)) for b in bounds):
             raise ConfigError(f"{name} must hold two finite numbers, got {bounds!r}")

@@ -27,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import read_utf8
-from .errors import ConfigError, DivergenceError, InvalidInputError, ParseError, ShapeError
-from .numerics import as_index, as_matrix, softmax_rows
+from .errors import DivergenceError, InvalidInputError, ParseError, ShapeError
+from .numerics import as_index, as_matrix, as_momentum, as_positive, softmax_rows
 
 PARAM_NAMES = ("W1", "b1", "W2", "b2", "Wc", "bc")
 
@@ -106,10 +106,8 @@ def init_model(d_in: int, h1: int, h_feat: int, n_classes: int, seed: int = 0) -
     else ConfigError names the field; dims whose arrays cannot be
     allocated raise ShapeError naming them."""
     for name, dim in (("d_in", d_in), ("h1", h1), ("h_feat", h_feat), ("n_classes", n_classes)):
-        if as_index(dim, name) < 1:
-            raise ConfigError(f"{name} must be >= 1, got {dim}")
-    if as_index(seed, "seed") < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+        as_index(dim, name, 1)
+    as_index(seed, "seed", 0)
     rng = np.random.Generator(np.random.PCG64(seed))
 
     def glorot(fan_in, fan_out):
@@ -182,10 +180,8 @@ def sgd_step(model: MlpModel, grad, lr: float, momentum: float) -> MlpModel:
     """In-place heavy-ball update: v <- momentum*v + g; theta <- theta - lr*v.
     ``grad`` is a ``theta``-layout vector; a rejected one (wrong shape, or
     non-finite: the first such parameter is named) leaves the model as it was."""
-    if not (math.isfinite(lr) and lr > 0):
-        raise ConfigError(f"lr must be finite and positive, got {lr!r}")
-    if not 0.0 <= momentum < 1.0:
-        raise ConfigError(f"momentum must be in [0, 1), got {momentum}")
+    as_positive(lr, "lr")
+    as_momentum(momentum)
     g = np.asarray(grad, dtype=np.float64)
     if g.shape != model.theta.shape:
         raise ShapeError(f"gradient shape {g.shape} does not match the {model.n_params()} parameters")

@@ -1,6 +1,7 @@
 """Dense float64 matrix kernels, probability-simplex utilities, the
-central-difference gradient oracle, and the guard that runs OpenBLAS on
-one thread for the duration of a run.
+central-difference gradient oracle, the guard that runs OpenBLAS on
+one thread for the duration of a run, and the ``as_*`` checkers, which
+hold each rule a setting obeys once and raise ConfigError naming it.
 
 All operations are pure functions on numpy arrays (double precision,
 row-major). Matrices here are plain ``np.ndarray``; the helpers below
@@ -171,20 +172,42 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def as_index(value, name: str) -> int:
-    """``value`` as an int; ConfigError naming ``name`` unless it is an
-    integer (a Python or numpy integer, not an integral float)."""
+def as_index(value, name: str, least: int) -> int:
+    """``value`` as an int, unless it is not an integer (a Python or numpy
+    integer, not an integral float) or is below ``least``."""
     try:
-        return operator.index(value)
+        index = operator.index(value)
     except TypeError:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if index < least:
+        raise ConfigError(f"{name} must be >= {least}, got {index}")
+    return index
 
 
-def as_real(value, name: str):
-    """``value`` itself; ConfigError naming ``name`` unless it is a real
-    number (a Python or numpy int or float, not a string)."""
-    if not isinstance(value, numbers.Real):
+def as_real(value, name: str, least=None):
+    """``value`` itself, unless it is not a real number (a Python or numpy
+    int or float, not a string) or, when ``least`` is given, is not
+    >= ``least``: NaN fails, and +inf passes as a legal limit."""
+    # (float, int) settles the common case (numpy float64 too) about 20x
+    # faster than the ABC test alone, which every SGD step would pay
+    if not isinstance(value, (float, int)) and not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
+    if least is not None and not value >= least:
+        raise ConfigError(f"{name} must be >= {least}, got {value!r}")
+    return value
+
+
+def as_positive(value, name: str):
+    """``value`` itself, unless it is not a finite real number > 0."""
+    if not (math.isfinite(as_real(value, name)) and value > 0):
+        raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+    return value
+
+
+def as_momentum(value):
+    """``value`` itself, unless it is not a real number in [0, 1)."""
+    if not 0.0 <= as_real(value, "momentum") < 1.0:
+        raise ConfigError(f"momentum must be in [0, 1), got {value!r}")
     return value
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError, ShapeError
-from .numerics import as_matrix, require_simplex_rows
+from .numerics import as_index, as_matrix, as_positive, as_real, require_simplex_rows
 
 LOG_CLAMP = 1e-12
 SIMPLEX_TOL = 1e-4
@@ -60,10 +60,8 @@ def lambda_schedule(iteration: int, max_iter: int, beta: float) -> float:
 
     Starts at 1 and is non-increasing; beta = 0 disables the decay.
     """
-    if not beta >= 0:  # NaN fails every comparison; +inf is a legal limit
-        raise ConfigError(f"beta must be >= 0, got {beta!r}")
-    if max_iter < 1:
-        raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
+    as_real(beta, "beta", 0)
+    as_index(max_iter, "max_iter", 1)
     if not 0 <= iteration <= max_iter:
         raise ConfigError(f"iteration {iteration} outside [0, {max_iter}]")
     return float((1.0 + 10.0 * iteration / max_iter) ** (-beta))
@@ -235,8 +233,7 @@ def infonce_loss(anchor_feats, positive_feats, negative_feats, tau: float) -> Lo
     Gradient is w.r.t. the anchor features; negatives are shared across
     anchors and may be empty.
     """
-    if not (math.isfinite(tau) and tau > 0):
-        raise ConfigError(f"tau must be finite and positive, got {tau!r}")
+    as_positive(tau, "tau")
     A = as_matrix(anchor_feats, "anchor_feats")
     Pos = as_matrix(positive_feats, "positive_feats")
     if Pos.shape != A.shape:

@@ -21,10 +21,9 @@ restore the caller's setting after.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from .datasets import Dataset
 from .errors import ConfigError, DivergenceError, InvalidInputError
 from .metrics import SND_TAU, EvalReport, build_report, evaluate_model
 from .model import MlpModel, backward, forward, sgd_step
-from .numerics import as_index, as_matrix, as_real, single_blas_thread
+from .numerics import as_index, as_matrix, as_momentum, as_positive, as_real, single_blas_thread
 from .objectives import (
     attract_disperse_loss,
     bnm_loss,
@@ -81,29 +80,20 @@ class AdaptConfig:
     ring_capacity: int = 0       # ignored unless bank_mode == "ring"
     seed: int = 0
     objective: str = "AaD"
-    snd_tau: float = SND_TAU
+    snd_tau: ClassVar[float] = SND_TAU   # SND scores every epoch at one temperature
 
     def __post_init__(self):
         self.objective = canonical_objective(self.objective)
 
     def validate(self) -> None:
         _check_sgd(self.epochs, self.batch_size, self.lr, self.momentum, self.seed)
-        for name in ("k", "ring_capacity"):
-            as_index(getattr(self, name), name)
-        for name in ("beta", "snd_tau"):
-            as_real(getattr(self, name), name)
-        if self.batch_size < 2:
-            raise ConfigError("batch_size must be >= 2")
-        if self.k < 1 or self.k >= self.batch_size - 1:
+        as_index(self.batch_size, "batch_size", 2)
+        if as_index(self.k, "k", 1) >= self.batch_size - 1:
             raise ConfigError("k must satisfy 1 <= k < batch_size - 1")
-        if not self.beta >= 0:  # NaN fails every comparison; +inf is a legal limit
-            raise ConfigError(f"beta must be >= 0, got {self.beta!r}")
+        as_real(self.beta, "beta", 0)
         if self.bank_mode not in MODES:
             raise ConfigError(f"unknown bank_mode {self.bank_mode!r}")
-        if self.bank_mode == "ring" and self.ring_capacity <= self.k:
-            raise ConfigError("ring_capacity must exceed k")
-        if not (math.isfinite(self.snd_tau) and self.snd_tau > 0):
-            raise ConfigError(f"snd_tau must be finite and positive, got {self.snd_tau!r}")
+        as_index(self.ring_capacity, "ring_capacity", self.k + 1 if self.bank_mode == "ring" else 0)
 
 
 def canonical_objective(name: str) -> str:
@@ -159,20 +149,11 @@ def _step_error(exc: ValueError, where: str) -> ValueError:
 def _check_sgd(epochs, batch_size, lr, momentum, seed) -> None:
     """The settings pretraining and adaptation share: integer epochs >= 0,
     batch_size >= 1 and seed >= 0, finite lr > 0, momentum in [0, 1)."""
-    for name, value in (("epochs", epochs), ("batch_size", batch_size), ("seed", seed)):
-        as_index(value, name)
-    for name, value in (("lr", lr), ("momentum", momentum)):
-        as_real(value, name)
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    if epochs < 0:
-        raise ConfigError("epochs must be >= 0")
-    if batch_size < 1:
-        raise ConfigError("batch_size must be >= 1")
-    if not (math.isfinite(lr) and lr > 0):
-        raise ConfigError(f"lr must be finite and positive, got {lr!r}")
-    if not 0.0 <= momentum < 1.0:
-        raise ConfigError(f"momentum must be in [0, 1), got {momentum!r}")
+    for name, value, least in (("epochs", epochs, 0), ("batch_size", batch_size, 1),
+                               ("seed", seed, 0)):
+        as_index(value, name, least)
+    as_positive(lr, "lr")
+    as_momentum(momentum)
 
 
 def _sgd_epochs(model, X, epochs, batch_size, lr, momentum, seed, where, batch_loss):
@@ -305,8 +286,7 @@ def sweep_beta(model: MlpModel, target: Dataset, betas, base_cfg: AdaptConfig,
         raise ConfigError("betas must be nonempty")
     if not seeds:
         raise ConfigError("seeds must be nonempty")
-    if base_cfg.epochs < 1:
-        raise ConfigError("sweep needs epochs >= 1 to score runs")
+    as_index(base_cfg.epochs, "epochs", 1)   # a run is scored at the end of an epoch
     cfgs = [replace(base_cfg, beta=beta, seed=seed, objective="AaD")
             for seed in seeds for beta in betas]
     for cfg in cfgs:

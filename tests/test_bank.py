@@ -36,19 +36,24 @@ class TestInit:
     def test_full_empty(self):
         b = MemoryBank("full", 600, 4, 2)
         assert b.filled == 0 and np.all(b.sample_ids == -1)
-        assert b.features.shape == (600, 4)
+        assert b.features.shape == (0, 4)
 
     def test_ring_empty(self):
         b = MemoryBank("ring", 64, 4, 2)
         assert b.filled == 0 and b.writes == 0 and np.all(b.sample_ids == -1)
         assert b.features.shape == (0, 4)
 
-    def test_ring_allocates_only_the_rows_it_holds(self):
-        # its arrays grow to the largest id written, whatever its capacity
-        b = MemoryBank("ring", 10**13, 4, 2)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_ring_allocates_only_the_rows_it_holds(self, mode):
+        # in both modes the arrays grow to the largest id written,
+        # whatever the capacity; a full bank's capacity bounds its ids
+        b = MemoryBank(mode, 10**13, 4, 2)
         assert b.features.shape == (0, 4) and b.sample_ids.shape == (0,)
         b.update([5, 2], np.ones((2, 4)), uniform_preds(2))
         assert b.features.shape == (6, 4) and b.occupied().tolist() == [2, 5]
+        if mode == "full":
+            with pytest.raises(InvalidInputError, match="capacity 10000000000000"):
+                b.update([10**13], np.ones((1, 4)), uniform_preds(1))
 
     @pytest.mark.parametrize("mode", MODES)
     def test_sizes_are_taken_as_ints(self, mode):

@@ -1,4 +1,5 @@
-"""Source hygiene checks that need nothing beyond the standard library."""
+"""Source hygiene checks. All but the last read the source only, with
+nothing beyond the standard library."""
 
 import ast
 from pathlib import Path
@@ -198,3 +199,14 @@ def test_checker_flags_an_unread_private_name():
     assert unread_private_names({"m": "_A = 1\n", "n": "from m import _A\n"}) == []
     # bound in a function, dunder, or public: not module-level private names
     assert unread_private_names({"m": "def f():\n    _x = 1\n__all__ = []\nA = 1\n"}) == []
+
+
+def test_every_adapt_setting_is_a_flag_of_sfdalab_adapt():
+    # a setting that no user path can set is a moving part for no one
+    import dataclasses
+
+    from sfdalab import cli
+    from sfdalab.orchestrator import AdaptConfig
+
+    fields = {f.name for f in dataclasses.fields(AdaptConfig)}
+    assert fields == set(cli._ADAPT) | {"seed"}

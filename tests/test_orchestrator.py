@@ -1,12 +1,13 @@
 """Pretraining, adaptation loop behavior, and the decay-exponent sweep."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from sfdalab import metrics, numerics, orchestrator
-from sfdalab.bank import MemoryBank
+from sfdalab.bank import MODES, MemoryBank
 from sfdalab.datasets import Dataset, MoonsConfig, make_twin_moons, rotate_dataset
 from sfdalab.errors import ConfigError, DivergenceError, InvalidInputError, ShapeError
 from sfdalab.model import init_model
@@ -64,8 +65,8 @@ class TestAdaptConfig:
         dict(momentum=-0.1),
         dict(bank_mode="lru"),
         dict(bank_mode="ring", ring_capacity=2, k=2),
-        dict(snd_tau=0.0),
         dict(seed=-1),
+        dict(ring_capacity=-1),
     ])
     def test_validate_rejects(self, kw):
         with pytest.raises(ConfigError):
@@ -77,9 +78,6 @@ class TestAdaptConfig:
         dict(lr=np.nan),
         dict(lr=np.inf),
         dict(lr=-np.inf),
-        dict(snd_tau=np.nan),
-        dict(snd_tau=np.inf),
-        dict(snd_tau=-np.inf),
     ])
     def test_validate_rejects_non_finite(self, kw):
         with pytest.raises(ConfigError, match=next(iter(kw))):
@@ -94,11 +92,17 @@ class TestAdaptConfig:
             small_cfg(**{name: value}).validate()
 
     @pytest.mark.parametrize("name,value", [
-        ("lr", "0.1"), ("momentum", "x"), ("beta", "x"), ("snd_tau", "x"),
+        ("lr", "0.1"), ("momentum", "x"), ("beta", "x"),
     ])
     def test_validate_rejects_non_numbers(self, name, value):
         with pytest.raises(ConfigError, match=f"^{name} must be a real number"):
             small_cfg(**{name: value}).validate()
+
+    def test_snd_temperature_is_a_constant_not_a_setting(self):
+        assert AdaptConfig().snd_tau == metrics.SND_TAU
+        assert "snd_tau" not in {f.name for f in dataclasses.fields(AdaptConfig)}
+        with pytest.raises(TypeError):
+            AdaptConfig(snd_tau=0.1)
 
     def test_valid_config_passes(self):
         small_cfg().validate()
@@ -241,14 +245,27 @@ class TestAdapt:
         assert np.array_equal(m1.theta, m2.theta)
 
     def test_label_hygiene(self):
-        # removing target labels must not change the learned parameters
+        # for every objective and bank mode, stripping or permuting the
+        # target labels leaves the parameters and the label-free history
+        # (loss, lambda, SND, ratio_same) byte-identical
         model, tgt = pretrained()
-        m1, h1 = adapt(model.clone(), tgt, small_cfg(epochs=2))
-        m2, h2 = adapt(model.clone(), strip_labels(tgt), small_cfg(epochs=2))
-        assert np.array_equal(m1.theta, m2.theta)
-        assert h1.loss == h2.loss
-        assert all(a is None for a in h2.acc)
-        assert all(c is None for c in h2.ratio_correct)
+        permuted = Dataset(X=tgt.X, labels=np.random.default_rng(0).permutation(tgt.labels),
+                           num_classes=tgt.num_classes)
+        assert not np.array_equal(permuted.labels, tgt.labels)
+        label_free = ("loss", "lambda", "snd", "ratio_same")
+        for objective in OBJECTIVES:
+            for mode in MODES:
+                cfg = small_cfg(objective=objective, bank_mode=mode, ring_capacity=40)
+                m1, h1 = adapt(model.clone(), tgt, cfg)
+                for other in (strip_labels(tgt), permuted):
+                    m2, h2 = adapt(model.clone(), other, cfg)
+                    assert m1.theta.tobytes() == m2.theta.tobytes(), (objective, mode)
+                    for key in label_free:
+                        assert json.dumps(h1.to_dict()[key]) == json.dumps(h2.to_dict()[key]), \
+                            (objective, mode, key)
+                    if other is not permuted:
+                        assert all(a is None for a in h2.acc)
+                        assert all(c is None for c in h2.ratio_correct)
 
     def test_no_decay_equals_beta_zero(self):
         model, tgt = pretrained()
@@ -505,14 +522,21 @@ class TestBlasThreads:
             adapt(model, bad, small_cfg())
         assert blas_threads() == 2
 
-    def test_outputs_independent_of_thread_count(self, blas_threads, monkeypatch):
+    @pytest.fixture(scope="class")
+    def toy(self):
         # the toy protocol's size, where OpenBLAS splits the SND product
         src = make_twin_moons(MoonsConfig(n_per_class=300, noise_sigma=0.1, seed=0))
         model, _ = pretrain_source(init_model(2, 15, 15, 2, seed=0), src,
                                    epochs=20, lr=0.01, seed=0)
-        tgt = rotate_dataset(src, 30.0)
-        cfg = AdaptConfig(k=4, beta=0.25, batch_size=64, epochs=20, lr=0.005,
-                          momentum=0.7, seed=0)
+        return model, rotate_dataset(src, 30.0)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_outputs_independent_of_thread_count(self, blas_threads, monkeypatch, toy,
+                                                 objective, mode):
+        model, tgt = toy
+        cfg = AdaptConfig(k=4, beta=0.25, batch_size=64, epochs=4, lr=0.005, momentum=0.7,
+                          bank_mode=mode, ring_capacity=128, seed=0, objective=objective)
         m1, h1 = adapt(model.clone(), tgt, cfg)
         # with discovery failing, the guard leaves the count at 2
         monkeypatch.setattr(numerics, "_openblas", lambda: None)
