@@ -72,13 +72,20 @@ class MemoryBank:
         self.filled = 0
 
     def _grow(self, rows: int) -> None:
-        """Extend every per-id array to ``rows`` rows that hold no id."""
-        for name, fill in (("features", 0.0), ("unit", 0.0), ("zero_norm", True),
-                           ("predictions", 0.0), ("sample_ids", -1), ("last_write", 0)):
-            old = getattr(self, name)
-            new = np.full((rows, *old.shape[1:]), fill, dtype=old.dtype)
-            new[:len(old)] = old
-            setattr(self, name, new)
+        """Extend every per-id array to ``rows`` rows that hold no id; all are
+        allocated before any is replaced, so a failure leaves the bank as it was."""
+        fill = {"features": 0.0, "unit": 0.0, "zero_norm": True, "predictions": 0.0,
+                "sample_ids": -1, "last_write": 0}
+        old = {name: getattr(self, name) for name in fill}
+        try:
+            new = {name: np.empty((rows, *a.shape[1:]), a.dtype) for name, a in old.items()}
+        except (MemoryError, ValueError):   # ValueError: more bytes than numpy can index
+            raise InvalidInputError(
+                f"sample id {rows - 1} gives a bank too large to allocate") from None
+        for name, a in new.items():
+            a[:len(old[name])] = old[name]
+            a[len(old[name]):] = fill[name]
+            setattr(self, name, a)
 
     def update(self, sample_ids, features, predictions) -> "MemoryBank":
         """Write a batch of rows, each to the row of its sample id: the

@@ -131,7 +131,6 @@ _FLAGS = {
     "ring_capacity": dict(type=int),
     "betas": dict(help="comma-separated, e.g. 0,1,2,5"),
     "seeds": dict(type=int, help="number of seeds (0..n-1)"),
-    "tau": dict(type=float, help="SND temperature"),
     "x_min": dict(type=float),
     "x_max": dict(type=float),
     "y_min": dict(type=float),
@@ -205,8 +204,7 @@ def cmd_sweep(args, given: dict) -> int:
 def cmd_eval(args, given: dict) -> int:
     model = load_checkpoint(args.ckpt)
     data = parse_data_spec(args.data)
-    report = build_report(model, data.X, data.labels, max(data.num_classes, model.n_classes),
-                          **_pick(given, ("tau",)))
+    report = build_report(model, data.X, data.labels, max(data.num_classes, model.n_classes))
     if args.out:
         write_report_json(args.out, report)
     print(json.dumps(report, indent=2, sort_keys=True))
@@ -224,19 +222,19 @@ def cmd_boundary(args, given: dict) -> int:
 
 
 # name -> (command, help, required flags, optional flags, help of --out);
-# every subcommand also takes --config and --seed
+# every subcommand also takes --config
 _SUBCOMMANDS = {
     "pretrain": (cmd_pretrain, "train a source model with cross-entropy",
-                 ("data", "out"), (*_TRAINING, "hidden1", "hidden_feat"),
+                 ("data", "out"), (*_TRAINING, "hidden1", "hidden_feat", "seed"),
                  "checkpoint path to write"),
     "adapt": (cmd_adapt, "adapt a pretrained model to unlabeled target data",
-              ("ckpt", "target"), (*_ADAPT, "out_history", "out"),
+              ("ckpt", "target"), (*_ADAPT, "seed", "out_history", "out"),
               "write the adapted checkpoint here"),
     "sweep": (cmd_sweep, "sweep the decay exponent and pick by SND",
               ("ckpt", "target", "out"), ("betas", "seeds", "k", *_TRAINING),
               "summary CSV path"),
     "eval": (cmd_eval, "score a checkpoint on a dataset",
-             ("ckpt", "data"), ("out", "tau"), "report JSON path"),
+             ("ckpt", "data"), ("out",), "report JSON path"),
     "boundary": (cmd_boundary, "export a decision-boundary grid as CSV",
                  ("ckpt", "out"), ("x_min", "x_max", "y_min", "y_max", "resolution"),
                  "grid CSV path"),
@@ -250,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_, required, optional, out_help) in _SUBCOMMANDS.items():
         p = subs.add_parser(name, help=help_)
-        for dest in (*required, *optional, "config", "seed"):
+        for dest in (*required, *optional, "config"):
             kwargs = dict(_FLAGS[dest], help=out_help) if dest == "out" else _FLAGS[dest]
             p.add_argument("--" + dest.replace("_", "-"), dest=dest,
                            required=dest in required, **kwargs)

@@ -24,10 +24,10 @@ from .numerics import (as_index, as_matrix, as_positive, as_real, row_blocks, sc
 
 SND_TAU = 0.05
 RATIO_K = 3
-# SND shifts every row by 1 while 2 / tau is at most this. A row's z is
-# then at least exp(-2 / tau), and z and tau * z stay normal floats, so
-# the entropy keeps full precision: the smallest normal float is
-# exp(-708.4), and -log(tau * z) <= 2 / tau - log(tau) < 706 here
+# SND shifts every row by 1, so it takes only a tau with 2 / tau at most
+# this. A row's z is then at least exp(-2 / tau), and z and tau * z stay
+# normal floats, so the entropy keeps full precision: the smallest normal
+# float is exp(-708.4), and -log(tau * z) <= 2 / tau - log(tau) < 706 here
 ONE_SHIFT_MAX_EXPONENT = 700.0
 
 
@@ -83,22 +83,24 @@ def snd_score(P_target, tau: float = SND_TAU) -> float:
     Rows are L2-normalized, pairwise dot products form a similarity
     matrix whose diagonal is masked out, each row is softmaxed at
     temperature tau, and the mean row entropy is returned. Larger values
-    indicate denser, more consistent prediction neighborhoods.
+    indicate denser, more consistent prediction neighborhoods. The lab
+    scores at SND_TAU; ``tau`` stays an argument for the oracle tests and
+    ``bench/test_bench.py``, which pass it.
 
-    With U the unit rows, s_ij = u_i . u_j and a shift m_i >= max_{j != i}
-    s_ij, row i has weights w_ij = exp((s_ij - m_i) / tau), w_ii = 0, and
-    z_i = sum_j w_ij. Since sum_j w_ij s_ij = u_i . (W U)_i, its entropy is
+    With U the unit rows and s_ij = u_i . u_j, every row is shifted by 1,
+    which needs no search because no cosine exceeds 1: row i has weights
+    w_ij = exp((s_ij - 1) / tau), w_ii = 0, and z_i = sum_j w_ij. Since
+    sum_j w_ij s_ij = u_i . (W U)_i, its entropy is
 
-        H_i = log z_i - (u_i . (W U)_i - m_i z_i) / (tau z_i),
+        H_i = log z_i - (u_i . (W U)_i - z_i) / (tau z_i),
 
     and both row sums come out of R = W @ [U | 1], whose last column is z.
 
-    No cosine exceeds 1, so m_i = 1 needs no search: every exponent lies
-    in [-2 / tau, 0], and while 2 / tau <= ONE_SHIFT_MAX_EXPONENT
-    (tau >= 1 / 350) every z and tau z is a normal float. One shift for
-    every row makes w_ij = exp((s_ij - 1) / tau) symmetric in i and j, so
-    each pair is computed once: a block of rows [lo, hi) of ``row_blocks``
-    takes only its strip of columns j >= lo. One product,
+    Every exponent lies in [-2 / tau, 0], so ConfigError unless tau >=
+    2 / ONE_SHIFT_MAX_EXPONENT (1 / 350), which keeps every z and tau z a
+    normal float. The shift of 1 makes W symmetric, so each pair is
+    computed once: a block of rows [lo, hi) of ``row_blocks`` takes only
+    its strip of columns j >= lo. One product,
     [U | -1]_lo:hi @ [U | 1]_lo:^T with both sides scaled by 1 / sqrt(tau),
     gives (s_ij - 1) / tau; one exp gives the strip of W; then
     R[lo:hi] += W @ [U | 1][lo:] adds the strip to its own rows and
@@ -108,12 +110,6 @@ def snd_score(P_target, tau: float = SND_TAU) -> float:
     bits of the score depend on the block height, a constant: one input
     still gives the same bits on every run.
 
-    A smaller tau could let a row's weights underflow, so there m_i is
-    each row's own largest cosine, found by a product (s) and a max pass
-    first. W is then not symmetric, and each block computes all n
-    columns of its rows: exponents [U / tau | -m / tau] @ [U | 1]^T, exp,
-    and its rows of R.
-
     With two rows, each row's softmax is over one other row, whose weight
     is 1: every entropy, and so the score, is exactly 0.0. It is returned
     as such, because the shift of 1 would compute it as
@@ -122,7 +118,9 @@ def snd_score(P_target, tau: float = SND_TAU) -> float:
     P = as_matrix(P_target, "P_target")
     if P.shape[0] < 2:
         raise InsufficientDataError("SND needs at least 2 rows")
-    tau = as_positive(tau, "tau")
+    if as_positive(tau, "tau") < 2.0 / ONE_SHIFT_MAX_EXPONENT:
+        raise ConfigError(f"tau must be >= 2 / {ONE_SHIFT_MAX_EXPONENT:g} = "
+                          f"{2.0 / ONE_SHIFT_MAX_EXPONENT:.6g}, got {tau!r}")
     if P.shape[0] == 2:
         return 0.0
     U = unit_rows(P)[0]
@@ -130,39 +128,23 @@ def snd_score(P_target, tau: float = SND_TAU) -> float:
     U1T = np.vstack((U.T, np.ones(n)))            # [U | 1]^T, C-contiguous
     U1 = U1T.T                                    # [U | 1]
     R = np.zeros((n, c + 1))                      # [W U | z]
-    if 2.0 / tau <= ONE_SHIFT_MAX_EXPONENT:
-        m = 1.0
-        K = U1T / math.sqrt(tau)                  # [U | 1]^T / sqrt(tau)
-        Q = K.T.copy()
-        Q[:, c] = -Q[:, c]                        # [U | -1] / sqrt(tau)
-        for lo, hi in row_blocks(n):
-            b = hi - lo
-            work = scratch("snd.work", (b, n - lo))
-            np.matmul(Q[lo:hi], K[:, lo:], out=work)   # (s_ij - 1) / tau
-            work[np.arange(b), np.arange(b)] = -np.inf   # w_ii = 0
-            np.exp(work, out=work)
-            R[lo:hi] += work @ U1[lo:]
-            if hi < n:
-                R[hi:] += work[:, b:].T @ U1[lo:hi]
-    else:
-        m = np.empty(n)
-        for lo, hi in row_blocks(n):
-            blk = U[lo:hi]
-            work = scratch("snd.work", (hi - lo, n))
-            diag = (np.arange(hi - lo), np.arange(lo, hi))
-            np.matmul(blk, U1T[:c], out=work)
-            work[diag] = -np.inf
-            m[lo:hi] = work.max(axis=1)
-            lhs = np.hstack((blk / tau, (-m[lo:hi] / tau)[:, None]))
-            np.matmul(lhs, U1T, out=work)         # (s_ij - m_i) / tau
-            work[diag] = -np.inf                  # w_ii = exp(-inf) = 0
-            np.exp(work, out=work)
-            R[lo:hi] = work @ U1
+    K = U1T / math.sqrt(tau)                      # [U | 1]^T / sqrt(tau)
+    Q = K.T.copy()
+    Q[:, c] = -Q[:, c]                            # [U | -1] / sqrt(tau)
+    for lo, hi in row_blocks(n):
+        b = hi - lo
+        work = scratch("snd.work", (b, n - lo))
+        np.matmul(Q[lo:hi], K[:, lo:], out=work)   # (s_ij - 1) / tau
+        work[np.arange(b), np.arange(b)] = -np.inf   # w_ii = 0
+        np.exp(work, out=work)
+        R[lo:hi] += work @ U1[lo:]
+        if hi < n:
+            R[hi:] += work[:, b:].T @ U1[lo:hi]
     z = R[:, c]
     dot = np.einsum("ij,ij->i", U, R[:, :c])
     # the difference cancels for concentrated rows, so rounding can leave
     # an entropy a few ulps below 0; no entropy is negative
-    ent = np.maximum(np.log(z) - (dot - m * z) / (tau * z), 0.0)
+    ent = np.maximum(np.log(z) - (dot - z) / (tau * z), 0.0)
     return float(ent.mean())
 
 
@@ -257,14 +239,15 @@ def evaluate_model(model: MlpModel, X, labels, num_classes: int) -> EvalReport:
 
 
 @single_blas_thread()
-def build_report(model: MlpModel, X, labels, num_classes: int, tau: float = SND_TAU,
+def build_report(model: MlpModel, X, labels, num_classes: int,
                  bank: MemoryBank | None = None) -> dict:
     """Score the model on a whole dataset X, with the fixed key set
-    accuracy, per_class, snd, ratios; a key that cannot be computed is
-    null. accuracy and per_class need labels (-1 marks an unlabeled sample,
-    which they skip), snd 2 rows, and ratios more than RATIO_K rows in
-    ``bank`` (its ids are rows of X), by default a full bank of X's forward.
-    ShapeError unless ``labels`` holds one entry per row of X."""
+    accuracy, per_class, snd (at SND_TAU), ratios; a key that cannot be
+    computed is null. accuracy and per_class need labels (-1 marks an
+    unlabeled sample, which they skip), snd 2 rows, and ratios more than
+    RATIO_K rows in ``bank`` (its ids are rows of X), by default a full
+    bank of X's forward. ShapeError unless ``labels`` holds one entry per
+    row of X."""
     cache = forward(model, as_matrix(X, "X"))
     P = cache.P
     labels = np.asarray(labels, dtype=np.int64)
@@ -279,7 +262,7 @@ def build_report(model: MlpModel, X, labels, num_classes: int, tau: float = SND_
         er = classification_report(np.argmax(P, axis=1), labels, num_classes)
         report["accuracy"], report["per_class"] = er.accuracy, er.to_dict()["per_class"]
     with contextlib.suppress(InsufficientDataError):
-        report["snd"] = snd_score(P, tau=tau)
+        report["snd"] = snd_score(P)
     with contextlib.suppress(InsufficientDataError):
         same, correct = agreement_ratios(bank, labels if has_labels else None)
         report["ratios"] = {"same": same, "correct": correct}

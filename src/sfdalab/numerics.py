@@ -185,13 +185,20 @@ def as_index(value, name: str, least: int) -> int:
 
 
 def as_real(value, name: str, least=None):
-    """``value`` itself, unless it is not a real number (a Python or numpy
-    int or float, not a string) or, when ``least`` is given, is not
-    >= ``least``: NaN fails, and +inf passes as a legal limit."""
-    # (float, int) settles the common case (numpy float64 too) about 20x
-    # faster than the ABC test alone, which every SGD step would pay
-    if not isinstance(value, (float, int)) and not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    """``value`` itself, unless it is not a real number that a float can
+    hold (a Python or numpy int or float, not a string nor 10**400) or,
+    when ``least`` is given, is not >= ``least``: NaN fails, +inf passes."""
+    # a float (numpy float64 too) settles the common case about 20x faster
+    # than the ABC test alone, which every SGD step would pay
+    if not isinstance(value, float):
+        if not isinstance(value, (int, numbers.Real)):
+            raise ConfigError(f"{name} must be a real number, got {value!r}")
+        try:
+            held = float(value)
+        except OverflowError:
+            held = math.inf
+        if math.isinf(held) and held != value:   # a finite value past the largest float
+            raise ConfigError(f"{name} must be a real number that a float can hold")
     if least is not None and not value >= least:
         raise ConfigError(f"{name} must be >= {least}, got {value!r}")
     return value

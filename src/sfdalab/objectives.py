@@ -88,7 +88,7 @@ def attract_disperse_loss(P_batch, neighbor_preds, lam: float) -> LossResult:
     bs = P.shape[0]
     if bs < 2:
         raise ShapeError("need a batch of at least 2 for a non-empty background set")
-    if not (math.isfinite(lam) and lam >= 0):
+    if not (math.isfinite(as_real(lam, "lam")) and lam >= 0):
         raise ConfigError(f"lam must be finite and >= 0, got {lam!r}")
 
     nbr_sum = nbr.sum(axis=1)                      # (bs, C)

@@ -80,7 +80,7 @@ class AdaptConfig:
     ring_capacity: int = 0       # ignored unless bank_mode == "ring"
     seed: int = 0
     objective: str = "AaD"
-    snd_tau: ClassVar[float] = SND_TAU   # SND scores every epoch at one temperature
+    snd_tau: ClassVar[float] = SND_TAU   # not a setting; bench/run.py reads it by this name
 
     def __post_init__(self):
         self.objective = canonical_objective(self.objective)
@@ -255,15 +255,15 @@ def adapt(model: MlpModel, target: Dataset, cfg: AdaptConfig) -> tuple[MlpModel,
     for epoch in _sgd_epochs(model, target.X, cfg.epochs, cfg.batch_size, cfg.lr, cfg.momentum,
                              cfg.seed, cfg.objective, batch_loss):
         try:
-            _record_epoch(history, model, target, bank, cfg)
+            _record_epoch(history, model, target, bank)
         except ValueError as exc:
             raise _step_error(exc, f"{cfg.objective}, epoch {epoch}") from exc
     return model, history
 
 
-def _record_epoch(history, model, target, bank, cfg) -> None:
+def _record_epoch(history, model, target, bank) -> None:
     """Append one epoch's ``build_report``, its ratios over ``bank`` if any."""
-    report = build_report(model, target.X, target.labels, target.num_classes, cfg.snd_tau, bank)
+    report = build_report(model, target.X, target.labels, target.num_classes, bank)
     ratios = report["ratios"] or {"same": None, "correct": None}
     history.acc.append(report["accuracy"])
     history.snd.append(report["snd"])

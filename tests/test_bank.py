@@ -14,20 +14,6 @@ from sfdalab.errors import (
 )
 
 
-def brute_force_knn(ids, feats, query, k, exclude_id=None):
-    """Independent oracle: full sort on (-cosine, id)."""
-    scored = []
-    for sid, f in zip(ids, feats):
-        if exclude_id is not None and sid == exclude_id:
-            continue
-        nf = float(np.linalg.norm(f))
-        nq = float(np.linalg.norm(query))
-        sim = -np.inf if nf == 0.0 or nq == 0.0 else float(np.dot(query, f)) / (nf * nq)
-        scored.append((sid, sim))
-    scored.sort(key=lambda t: (-t[1], t[0]))
-    return [sid for sid, _ in scored[:k]]
-
-
 def uniform_preds(n, c=2):
     return np.full((n, c), 1.0 / c)
 
@@ -120,6 +106,20 @@ class TestUpdate:
         with pytest.raises(InvalidInputError, match="sample id 4 .* capacity 4"):
             b.update([4], [[1.0]], [[0.5, 0.5]])
         assert b.filled == 0 and b.writes == 0
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("sample_id", [10**13 - 2, 2**62, 2**63 - 1])
+    def test_id_too_large_to_allocate_leaves_the_bank_unchanged(self, mode, sample_id):
+        # a feature array of 10**13 rows (291 TiB) is past the 47-bit address
+        # space, so numpy fails at once, without touching memory; from 2**62
+        # rows on it cannot even size the array
+        b = MemoryBank(mode, sample_id + 1, 4, 2)
+        b.update([0, 3], np.ones((2, 4)), uniform_preds(2))
+        before = b.snapshot()
+        with pytest.raises(InvalidInputError, match=f"sample id {sample_id} .* allocate"):
+            b.update([1, sample_id], np.ones((2, 4)), uniform_preds(2))
+        assert (b.writes, b.filled, b.features.shape) == (2, 2, (4, 4))
+        assert all(np.array_equal(x, y) for x, y in zip(before, b.snapshot()))
 
     def test_row_misalignment_rejected(self):
         b = MemoryBank("full", 4, 1, 2)
@@ -398,10 +398,10 @@ class TestKnn:
             feats = rng.normal(size=(n, h))
             b = MemoryBank("full", n, h, 2)
             b.update(np.arange(n), feats, uniform_preds(n))
-            q = rng.normal(size=h)
-            excl = int(rng.integers(0, n))
-            ids = b.knn_batch([q], k=k, exclude_ids=[excl])[0][0]
-            assert ids.tolist() == brute_force_knn(np.arange(n), feats, q, k, excl)
+            q = rng.normal(size=(1, h))
+            excl = rng.integers(0, n, size=1)
+            ids = b.knn_batch(q, k=k, exclude_ids=excl)[0]
+            assert ids.tolist() == oracle_knn_batch(b, q, k, excl)
 
     def test_ring_mode_knn_over_buffer(self):
         b = MemoryBank("ring", 4, 2, 2)

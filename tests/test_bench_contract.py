@@ -16,6 +16,7 @@ import pytest
 
 from sfdalab import objectives
 from sfdalab.bank import MemoryBank
+from sfdalab.metrics import snd_score
 from sfdalab.datasets import MoonsConfig, make_twin_moons, rotate_dataset
 from sfdalab.model import PARAM_NAMES, init_model
 from sfdalab.orchestrator import OBJECTIVES, AdaptConfig, adapt, pretrain_source
@@ -81,9 +82,11 @@ def test_knn_batch_leads_with_the_id_array(mode):
 
 def test_params_and_config_fields_the_bench_reads():
     # the bench's reference forward reads the named parameters, and its
-    # SND check the run's temperature
+    # SND checks pass the run's temperature and 0.05 to snd_score
     assert tuple(init_model(2, 3, 4, 2, seed=0).params()) == PARAM_NAMES
-    assert AdaptConfig().snd_tau > 0
+    P = np.random.default_rng(0).dirichlet(np.ones(2), size=10)
+    for tau in (AdaptConfig().snd_tau, 0.05):
+        assert np.isfinite(snd_score(P, tau))
 
 
 @pytest.mark.parametrize("mode", ["full", "ring"])

@@ -14,7 +14,6 @@ from sfdalab import cli, errors
 from sfdalab.cli import build_parser, main, parse_data_spec
 from sfdalab.datasets import MoonsConfig, make_twin_moons
 from sfdalab.errors import ConfigError, ParseError
-from sfdalab.metrics import SND_TAU
 from sfdalab.model import load_checkpoint
 from sfdalab.orchestrator import AdaptConfig, RunHistory, pretrain_source
 
@@ -190,6 +189,19 @@ class TestEvalCommand:
         assert printed["accuracy"] is not None
         assert set(printed) == {"accuracy", "per_class", "snd", "ratios"}
 
+    def test_eval_scores_as_the_last_epoch_of_adapt(self, source_ckpt, tmp_path, capsys):
+        # eval and every epoch of the history score SND at one temperature
+        ckpt, history = tmp_path / "adapted.json", tmp_path / "history.json"
+        target = "moons:rot=30,n=40,seed=0"
+        main(["adapt", "--ckpt", source_ckpt, "--target", target, "--epochs", "2",
+              "--batch-size", "16", "--k", "2", "--out", str(ckpt),
+              "--out-history", str(history)])
+        capsys.readouterr()
+        main(["eval", "--ckpt", str(ckpt), "--data", target])
+        report = json.loads(capsys.readouterr().out)
+        last = json.loads(history.read_text())
+        assert (report["snd"], report["accuracy"]) == (last["snd"][-1], last["acc"][-1])
+
 
 class TestBoundaryCommand:
     def test_grid_csv_written(self, source_ckpt, tmp_path, capsys):
@@ -257,23 +269,25 @@ class TestParser:
 # The parser's surface, as it was before the flags moved into one table:
 # subcommand -> {option: (type, choices, required)}. No flag has a default.
 OBJECTIVE_CHOICES = ("AaD", "AttractOnly", "DisperseOnly", "AaDNoDecay", "MI", "BNM", "NC")
-COMMON = {"--config": (None, None, False), "--seed": (int, None, False)}
+COMMON = {"--config": (None, None, False)}
+SEED = {"--seed": (int, None, False)}   # only the subcommands that draw random numbers
 TRAINING = {"--epochs": (int, None, False), "--lr": (float, None, False),
             "--momentum": (float, None, False), "--batch-size": (int, None, False)}
 SURFACE = {
     "pretrain": {"--data": (None, None, True), "--out": (None, None, True), **TRAINING,
-                 "--hidden1": (int, None, False), "--hidden-feat": (int, None, False), **COMMON},
+                 "--hidden1": (int, None, False), "--hidden-feat": (int, None, False), **SEED,
+                 **COMMON},
     "adapt": {"--ckpt": (None, None, True), "--target": (None, None, True),
               "--k": (int, None, False), "--beta": (float, None, False), **TRAINING,
               "--objective": (None, OBJECTIVE_CHOICES, False),
               "--bank-mode": (None, ("full", "ring"), False),
               "--ring-capacity": (int, None, False), "--out-history": (None, None, False),
-              "--out": (None, None, False), **COMMON},
+              "--out": (None, None, False), **SEED, **COMMON},
     "sweep": {"--ckpt": (None, None, True), "--target": (None, None, True),
               "--betas": (None, None, False), "--seeds": (int, None, False),
               "--out": (None, None, True), "--k": (int, None, False), **TRAINING, **COMMON},
     "eval": {"--ckpt": (None, None, True), "--data": (None, None, True),
-             "--out": (None, None, False), "--tau": (float, None, False), **COMMON},
+             "--out": (None, None, False), **COMMON},
     "boundary": {"--ckpt": (None, None, True), "--out": (None, None, True),
                  "--x-min": (float, None, False), "--x-max": (float, None, False),
                  "--y-min": (float, None, False), "--y-max": (float, None, False),
@@ -322,7 +336,6 @@ def calls(monkeypatch):
 
     record("adapt", cli.adapt, (None, RunHistory()))
     record("sweep_beta", cli.sweep_beta, ([], []))
-    record("build_report", cli.build_report, {})
     record("pretrain_source", pretrain_source, (None, type("R", (), {"accuracy": 1.0})))
     monkeypatch.setattr(cli, "save_checkpoint",
                         lambda model, path: got.setdefault("saved", []).append(path))
@@ -356,10 +369,6 @@ class TestDefaults:
         assert (got["epochs"], got["lr"]) == (200, 0.01)
         assert (got["model"].h1, got["model"].h_feat) == (15, 15)
 
-    def test_eval_scores_at_the_snd_temperature(self, source_ckpt, calls):
-        main(["eval", "--ckpt", source_ckpt, "--data", "moons:n=10"])
-        assert calls["build_report"]["tau"] == SND_TAU
-
 
 class TestPrecedence:
     def test_flag_beats_config_beats_default(self, source_ckpt, calls, tmp_path):
@@ -387,11 +396,6 @@ class TestPrecedence:
         cfg = write_config(tmp_path, {"k": None, "beta": None, "objective": None})
         main(["adapt", "--ckpt", source_ckpt, "--target", "moons:n=10", "--config", cfg])
         assert calls["adapt"]["cfg"] == AdaptConfig()
-
-    def test_eval_tau_from_config(self, source_ckpt, calls, tmp_path):
-        cfg = write_config(tmp_path, {"tau": 0.5})
-        main(["eval", "--ckpt", source_ckpt, "--data", "moons:n=10", "--config", cfg])
-        assert calls["build_report"]["tau"] == 0.5
 
     def test_paths_come_from_flags_only(self, source_ckpt, calls, tmp_path):
         history = tmp_path / "history.json"

@@ -105,7 +105,8 @@ class TestAttractDisperse:
         res = attract_disperse_loss(P, nbr, lam)
         fd_check(lambda v: attract_disperse_loss(v.reshape(bs, c), nbr, lam).value, P, res.grad)
 
-    @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf, "0.5", None,
+                                     pytest.param(10**400, id="10**400")])
     def test_rejects_bad_lambda(self, lam):
         P = np.array([[0.7, 0.3], [0.2, 0.8]])
         with pytest.raises(ConfigError, match="lam"):
@@ -382,7 +383,8 @@ class TestInfoNce:
         with pytest.raises(ConfigError):
             infonce_loss(A, A.copy(), np.zeros((0, 2)), tau=0.0)
 
-    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf,
+                                     pytest.param(10**400, id="10**400")])
     def test_rejects_non_finite_tau(self, tau):
         A = np.array([[1.0, 0.0]])
         with pytest.raises(ConfigError, match="tau"):

@@ -78,6 +78,9 @@ class TestAdaptConfig:
         dict(lr=np.nan),
         dict(lr=np.inf),
         dict(lr=-np.inf),
+        dict(lr=10**400),     # a float cannot hold it
+        dict(lr=-10**400),
+        dict(beta=10**400),
     ])
     def test_validate_rejects_non_finite(self, kw):
         with pytest.raises(ConfigError, match=next(iter(kw))):
